@@ -5,9 +5,17 @@ amortise as in the paper's runs, small enough that the discrete-event
 simulations finish in seconds.  Every benchmark prints the paper's numbers
 next to the measured ones (run with ``-s`` to see the tables; they are also
 asserted programmatically).
+
+The committed ``BENCH_*.json`` files are rewritten only when the
+environment sets ``REPRO_WRITE_BENCH=1``; the floors are asserted on
+every run either way, so a plain test run leaves the tree clean.
 """
 
 from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +37,15 @@ def scaling_scenario() -> PaperScenario:
 def run_once(benchmark, fn):
     """Benchmark an expensive function with a single measured round."""
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
+
+
+def write_bench(path: Path, payload: dict) -> str:
+    """Persist a BENCH payload when ``REPRO_WRITE_BENCH=1``.
+
+    Returns a short note for the benchmark's printout: the file name
+    when written, otherwise how to opt in.
+    """
+    if os.environ.get("REPRO_WRITE_BENCH") != "1":
+        return f"{path.name} not written (set REPRO_WRITE_BENCH=1)"
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    return path.name

@@ -14,9 +14,9 @@ cache off — and compares **goodput**.  Because cached replies replay
 the exact `(kind, rows, option)` value the kernels produced, the cache
 moves timing and never numbers: every request id completed by both runs
 carries a bit-identical value.  Acceptance floors: cache hit rate above
-0.5 and a 5x goodput ratio; the numbers are persisted to
-``BENCH_gateway.json`` (uploaded as a CI artifact next to
-``BENCH_serving.json`` and ``BENCH_risk.json``).
+0.5 and a 5x goodput ratio; with ``REPRO_WRITE_BENCH=1`` the numbers
+are persisted to ``BENCH_gateway.json`` (uploaded as a CI artifact next
+to ``BENCH_serving.json`` and ``BENCH_risk.json``).
 
 Everything asserted here is *simulated* time, so the benchmark is
 deterministic — host wall-clock is reported but never asserted.
@@ -24,11 +24,11 @@ deterministic — host wall-clock is reported but never asserted.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import write_bench
 from repro.analysis.gateway import generate_gateway_report
 from repro.workloads.scenarios import PaperScenario
 
@@ -139,7 +139,7 @@ def test_cache_economics_and_trajectory(measured):
             "uncached": round(uncached.host_seconds, 3),
         },
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    written = write_bench(BENCH_PATH, payload)
     print(f"\nGateway goodput at {RATE_HZ:,.0f} req/s offered "
           f"({N_REQUESTS} requests, {N_SERVERS}x{N_CARDS} cards):")
     print(f"  cache off: {off.goodput_rps:10,.0f} req/s goodput, "
@@ -149,7 +149,7 @@ def test_cache_economics_and_trajectory(measured):
           f"p99 {on.latency.p99_s * 1e3:7.2f} ms, "
           f"shed {on.shed_rate:.1%} "
           f"(hit {on.cache_hit_rate:.1%}, dedup {on.cache_dedup_rate:.1%})")
-    print(f"  ratio    : {ratio:.1f}x  ->  {BENCH_PATH.name}")
+    print(f"  ratio    : {ratio:.1f}x  ->  {written}")
     assert on.cache_hit_rate > HIT_RATE_FLOOR
     assert ratio >= GOODPUT_RATIO_FLOOR
 

@@ -8,20 +8,21 @@ priced by a few chunked ``price_packed_many`` kernel invocations.
 
 The run times both paths on the acceptance grid (1000 Monte Carlo
 scenarios x 100 contracts), asserts the batched path is bit-identical
-and >= 5x faster, and persists the numbers to ``BENCH_risk.json`` at the
-repository root — the first entry of the repo's benchmark trajectory
-(uploaded as a CI artifact by the workflow's non-blocking benchmark job).
+and >= 5x faster, and — with ``REPRO_WRITE_BENCH=1`` — persists the
+numbers to ``BENCH_risk.json`` at the repository root, the first entry of
+the repo's benchmark trajectory (uploaded as a CI artifact by the
+workflow's non-blocking benchmark job).
 """
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from benchmarks.conftest import write_bench
 from repro.risk import ScenarioRiskEngine, make_book, monte_carlo
 from repro.workloads.scenarios import PaperScenario
 
@@ -96,11 +97,11 @@ def test_batched_grid_speedup_and_trajectory(measured):
         ),
         "chunk_size": "auto",
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    written = write_bench(BENCH_PATH, payload)
     print("\nScenario-grid revaluation (1000 scenarios x 100 contracts):")
     print(f"  looped : {looped_s:.3f}s ({N_SCENARIOS / looped_s:,.0f} scen/s)")
     print(f"  batched: {batched_s:.3f}s ({N_SCENARIOS / batched_s:,.0f} scen/s)")
-    print(f"  speedup: {speedup:.1f}x  ->  {BENCH_PATH.name}")
+    print(f"  speedup: {speedup:.1f}x  ->  {written}")
     assert speedup >= SPEEDUP_FLOOR
 
 

@@ -13,9 +13,9 @@ seed) through the quote server twice — coalesced (size-or-linger) and
 batch-size-1 — and compares **goodput**: responses that met their
 deadline, per second.  Under overload the batch-1 server queues, misses
 deadlines and sheds; the coalesced server keeps up.  The acceptance
-floor is a 3x goodput ratio; the numbers are persisted to
-``BENCH_serving.json`` (uploaded as a CI artifact next to
-``BENCH_risk.json``).
+floor is a 3x goodput ratio; with ``REPRO_WRITE_BENCH=1`` the numbers
+are persisted to ``BENCH_serving.json`` (uploaded as a CI artifact next
+to ``BENCH_risk.json``).
 
 Everything asserted here is *simulated* time, so the benchmark is
 deterministic — host wall-clock is reported but never asserted.
@@ -23,12 +23,12 @@ deterministic — host wall-clock is reported but never asserted.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import write_bench
 from repro.cluster.batching import BatchQueue
 from repro.risk.engine import make_book
 from repro.serving import QuoteServer, make_market_tape, make_request_stream
@@ -131,7 +131,7 @@ def test_goodput_ratio_and_trajectory(measured):
             "batch1": round(batch1_wall, 3),
         },
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    written = write_bench(BENCH_PATH, payload)
     print(f"\nServing goodput at {RATE_HZ:,.0f} req/s offered "
           f"({N_REQUESTS} requests, {N_CARDS} cards):")
     print(f"  batch-1  : {batch1.goodput_rps:10,.0f} req/s goodput, "
@@ -141,7 +141,7 @@ def test_goodput_ratio_and_trajectory(measured):
           f"p99 {coalesced.latency.p99_s * 1e3:7.2f} ms, "
           f"shed {coalesced.shed_rate:.1%} "
           f"(mean batch {coalesced.mean_batch_requests:.1f})")
-    print(f"  ratio    : {ratio:.1f}x  ->  {BENCH_PATH.name}")
+    print(f"  ratio    : {ratio:.1f}x  ->  {written}")
     assert ratio >= GOODPUT_RATIO_FLOOR
 
 

@@ -56,7 +56,12 @@ from repro.serving.request import (
     ShedRecord,
 )
 from repro.sim import CompletionTracker, Simulation
-from repro.telemetry import NULL_TELEMETRY, MetricsRegistry, Telemetry
+from repro.telemetry import (
+    NULL_TELEMETRY,
+    Counter,
+    MetricsRegistry,
+    Telemetry,
+)
 from repro.workloads.scenarios import PaperScenario
 
 from repro.gateway.cache import DEFAULT_HIT_LATENCY_S, QuoteCache, cache_key
@@ -68,6 +73,27 @@ if TYPE_CHECKING:  # fault types are optional at runtime (lazy import)
     from repro.faults import FaultPlan, HedgePolicy, RetryPolicy
 
 __all__ = ["Gateway"]
+
+
+def _labelled_counters(
+    registry: MetricsRegistry, name: str, help_text: str, label: str
+):
+    """Per-label-value counter lookup, resolved once per value.
+
+    Each handle is created on its value's first use, so the registry
+    ends up with exactly the keys per-call lookups would have made.
+    """
+    handles: dict[str, Counter] = {}
+
+    def get(value: str) -> Counter:
+        handle = handles.get(value)
+        if handle is None:
+            handle = handles[value] = registry.counter(
+                name, help_text, labels={label: value}
+            )
+        return handle
+
+    return get
 
 
 class _Lane:
@@ -295,7 +321,12 @@ class Gateway:
             _Lane(i, server, sim) for i, server in enumerate(self.servers)
         ]
         if faulted:
-            from repro.serving.faulted import FaultedDispatcher
+            # Imported per replay, not per arrival: the ladder fractions
+            # are read on the event path only while a lane is faulted.
+            from repro.serving.faulted import (
+                DEGRADE_FRACTIONS,
+                FaultedDispatcher,
+            )
 
             lane = lanes[fault_server]
             lane.dispatcher = FaultedDispatcher(
@@ -322,6 +353,17 @@ class Gateway:
         )
         invalidations_total = gw.counter(
             "gateway_cache_invalidations_total", "cache entries dropped by ticks"
+        )
+        requests_total = _labelled_counters(
+            gw, "gateway_requests_total", "requests offered to the gateway",
+            "tenant",
+        )
+        shed_quota_total = _labelled_counters(
+            gw, "gateway_shed_quota_total", "requests rejected by tenant quotas",
+            "tenant",
+        )
+        routed_total = _labelled_counters(
+            gw, "gateway_routed_total", "requests routed to servers", "server"
         )
         cache_responses: list[PricingResponse] = []
         quota_sheds: list[ShedRecord] = []
@@ -439,17 +481,10 @@ class Gateway:
             if cache is not None:
                 resolve_outcomes()
             profile = book.profile(req.tenant)
-            gw.counter(
-                "gateway_requests_total", "requests offered to the gateway",
-                labels={"tenant": profile.name},
-            ).inc()
+            requests_total(profile.name).inc()
             if not book.admit(req.tenant, now):
                 quota_sheds.append(ShedRecord(req, now, ShedReason.QUOTA))
-                gw.counter(
-                    "gateway_shed_quota_total",
-                    "requests rejected by tenant quotas",
-                    labels={"tenant": profile.name},
-                ).inc()
+                shed_quota_total(profile.name).inc()
                 if recorder.enabled:
                     recorder.record(
                         "shed", now, now, track="gateway", category="request",
@@ -498,10 +533,7 @@ class Gateway:
                 cache.stats.misses += 1
                 misses_total.inc()
             lane = lanes[self.ring.route_request(req)]
-            gw.counter(
-                "gateway_routed_total", "requests routed to servers",
-                labels={"server": str(lane.index)},
-            ).inc()
+            routed_total(str(lane.index)).inc()
             boosted = (
                 req
                 if profile.priority_boost == 0
@@ -513,8 +545,6 @@ class Gateway:
                 shed_at_lane(lane, boosted, now, ShedReason.BACKPRESSURE)
                 return
             if lane.dispatcher is not None and lane.dispatcher.health.capacity_reduced(now):
-                from repro.serving.faulted import DEGRADE_FRACTIONS
-
                 frac = DEGRADE_FRACTIONS[req.kind]
                 if frac < 1.0 and outstanding >= frac * self.queue_depth:
                     shed_at_lane(lane, boosted, now, ShedReason.DEGRADED)

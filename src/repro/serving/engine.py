@@ -5,21 +5,23 @@ batch.  A stream of :class:`~repro.serving.request.PricingRequest`
 objects (quotes, revals, VaR refreshes) arrives in simulated time; the
 server coalesces them into micro-batches under a size-or-linger policy
 (:class:`~repro.serving.coalescer.MicroBatchCoalescer`, carrying the
-cluster layer's :class:`~repro.cluster.batching.BatchQueue`), prices each
-batch's distinct market-state rows with **one** negotiated call on the
-pricing session's base backend (via
-:meth:`~repro.risk.engine.ScenarioRiskEngine.quote_rows` — one batched
-kernel call for the whole micro-batch), and shards the rows for *timing*
-across cluster cards with the existing
+cluster layer's :class:`~repro.cluster.batching.BatchQueue`), answers
+each batch from the server's quote surfaces, and shards the batch's rows
+for *timing* across cluster cards with the existing
 :class:`~repro.cluster.scheduler.ClusterScheduler` policies, weighted by
 each row's kernel-cell cost.  Only ``supports_streaming`` backends are
 accepted — the capability flag of the unified API.
 
 Two clocks run side by side, exactly as in the risk subsystem:
 
-* **numerics** execute on the host, for real — every response value is a
-  genuine kernel output, and batched values are bit-identical to pricing
-  each request alone (rows are independent inside the kernel);
+* **numerics** execute on the host, for real, and run once per tape row —
+  a batch's rows this server has not yet priced for its tape go through
+  **one** negotiated call on the pricing session's base backend (via
+  :meth:`~repro.risk.engine.ScenarioRiskEngine.quote_rows`), and every
+  row already priced is read back from the server's memo.  Every
+  response value is a genuine kernel output, bit-identical to pricing
+  each request alone (rows are independent inside the kernel, and the
+  tape is frozen);
 * **timing** runs on the unified :mod:`repro.sim` core: request arrivals
   are events on one :class:`~repro.sim.Simulation`, the host thread and
   every card are :class:`~repro.sim.Resource` busy-window surfaces on a
@@ -98,7 +100,8 @@ class QuoteServer:
     tape:
         The live market tape: a :class:`~repro.risk.tensor.
         ScenarioTensor` whose rows are the market states requests
-        reference.
+        reference.  Each row is priced at most once per server; assign a
+        new tensor to :attr:`tape` to serve new market states.
     scenario:
         Experimental configuration (default
         :class:`~repro.workloads.scenarios.PaperScenario`).
@@ -202,6 +205,9 @@ class QuoteServer:
         )
         self._notionals = book.notionals
         self._base_pv = self.engine.base_pv
+        # Quote-surface memo, allocated on first use and keyed on the
+        # tape by identity (see _surfaces).
+        self._memo_tape: ScenarioTensor | None = None
         #: Resilience summary of the most recent faulted :meth:`serve`
         #: (``None`` after a fault-free replay).
         self.last_fault_report: FaultReport | None = None
@@ -262,13 +268,42 @@ class QuoteServer:
                 values.append(value_at_risk(pnl, confidence=VAR_CONFIDENCE))
         return values
 
+    def _surfaces(self, rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """``(spreads_bps, unit_pv)`` rows for a batch, each priced once.
+
+        Only the rows this server has not yet priced for :attr:`tape` go
+        to the kernel, in one :meth:`~repro.risk.engine.
+        ScenarioRiskEngine.quote_rows` call; the rest are read from the
+        memo.  That is sound because the tape's arrays are frozen and a
+        row's value does not depend on the batch that priced it (the
+        batched == individual pin).  Rebinding :attr:`tape` drops the
+        memo.
+        """
+        if self._memo_tape is not self.tape:
+            shape = (self.tape.n_scenarios, self.n_positions)
+            self._memo_tape = self.tape
+            self._memo_spreads = np.empty(shape)
+            self._memo_pv = np.empty(shape)
+            self._memo_have = np.zeros(shape[0], dtype=bool)
+        idx = np.asarray(rows, dtype=np.intp)
+        missing = idx[~self._memo_have[idx]]
+        if missing.size:
+            spreads, pv = self.engine.quote_rows(
+                self.tape, missing, chunk_size=self.chunk_size
+            )
+            self._memo_spreads[missing] = spreads
+            self._memo_pv[missing] = pv
+            self._memo_have[missing] = True
+        return self._memo_spreads[idx], self._memo_pv[idx]
+
     def price_individually(
         self, requests: Sequence[PricingRequest]
     ) -> list[float]:
         """Reference path: one kernel call per request, no coalescing.
 
-        The property suite pins :meth:`serve`'s batched values
-        bit-identical to this.
+        Deliberately bypasses the quote-surface memo, so the property
+        suite's pin of :meth:`serve`'s values bit-identical to this
+        compares against fresh kernel output.
         """
         values: list[float] = []
         for req in requests:
@@ -316,11 +351,9 @@ class QuoteServer:
         active = sum(1 for chunk in assignment if chunk)
         factor = self.link.contention_factor(active)
 
-        # Host numerics: ONE negotiated call (one kernel call) for the
-        # whole micro-batch; the card sharding above is timing-only.
-        spreads, pv = self.engine.quote_rows(
-            self.tape, rows, chunk_size=self.chunk_size
-        )
+        # Host numerics: at most one kernel call, for the rows not yet
+        # priced on this tape; the card sharding above is timing-only.
+        spreads, pv = self._surfaces(rows)
         values = self._values(batch.requests, rows, spreads, pv)
 
         # Timing: heaviest chunks land on the least-busy cards (online

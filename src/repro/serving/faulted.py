@@ -8,10 +8,11 @@ play; everything here is additive.
 
 The model, per micro-batch:
 
-* **numerics run once** — one negotiated ``quote_rows`` call when the
-  batch forms, exactly as fault-free.  Faults, retries and hedges only
-  ever duplicate *simulated* card time; response values are bit-identical
-  to the fault-free run.
+* **numerics run once** — the batch's quote surfaces come from
+  ``QuoteServer._surfaces`` when the batch forms, exactly as fault-free:
+  only rows the server has not yet priced for its tape reach the kernel.
+  Faults, retries and hedges only ever duplicate *simulated* card time;
+  response values are bit-identical to the fault-free run.
 * **dispatch is prospective** — before committing a card busy window the
   dispatcher peeks at where it would land.  Work reaching the head of a
   down card's queue fails immediately; a window a crash would cut short
@@ -143,9 +144,7 @@ class FaultedDispatcher:
         """Price a batch (numerics once) and start its faulted dispatch."""
         weight = self.server._batch_weights(batch)
         rows = batch.rows
-        spreads, pv = self.server.engine.quote_rows(
-            self.server.tape, rows, chunk_size=self.server.chunk_size
-        )
+        spreads, pv = self.server._surfaces(rows)
         values = self.server._values(batch.requests, rows, spreads, pv)
         state = _BatchState(batch, values, weight)
         self.n_outstanding += len(batch.requests)

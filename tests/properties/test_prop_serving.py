@@ -4,15 +4,19 @@ The load-bearing invariant: micro-batching is *purely* a
 throughput/latency knob.  However requests are coalesced, routed and
 chunked, every response value must be bit-identical to pricing that
 request alone — the serving counterpart of the risk subsystem's
-batch == loop pin.
+batch == loop pin.  That holds for a server whose quote-surface memo is
+already warm from another trace too, faulted or not.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.batching import BatchQueue
+from repro.faults import FaultPlan
 from repro.risk.engine import make_book
 from repro.serving import QuoteServer, make_market_tape, make_request_stream
 from repro.workloads.scenarios import PaperScenario
@@ -156,3 +160,70 @@ class TestVarReduction:
         v_crowd = [r.value for r in crowded.responses if r.request_id == 0][0]
         assert v_alone == v_crowd
         assert np.isfinite(v_alone)
+
+
+class TestWarmMemoBitIdentity:
+    """A server that already served a *different* trace answers part of
+    the next one from its memo; the answers must not move a bit."""
+
+    @staticmethod
+    def _warm(server: QuoteServer, seed: int) -> None:
+        server.serve(
+            make_request_stream(
+                60,
+                rate_hz=3000.0,
+                n_states=N_STATES,
+                n_positions=N_POSITIONS,
+                var_rows=3,
+                seed=seed,
+            )
+        )
+
+    @given(
+        n_cards=st.integers(min_value=1, max_value=4),
+        scheduler=st.sampled_from(
+            ["round-robin", "least-loaded", "work-stealing"]
+        ),
+        chunk_size=st.sampled_from([None, 1, 3, 8]),
+        warm_seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_warm_serve_equals_individual(
+        self, scenario, tape, stream, n_cards, scheduler, chunk_size,
+        warm_seed,
+    ):
+        server = _server(
+            scenario, tape, n_cards=n_cards, scheduler=scheduler,
+            chunk_size=chunk_size,
+            queue=BatchQueue(max_batch=32, linger_s=2e-3),
+        )
+        self._warm(server, warm_seed)
+        batched = _values(server.serve(stream))
+        answered = [r for r in stream if r.request_id in batched]
+        assert answered
+        individual = server.price_individually(answered)
+        for req, value in zip(answered, individual):
+            assert batched[req.request_id] == value, req
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "crash:card=1,at=0.05,repair=0.05",
+            "slow:card=1,at=0.005,for=0.06,factor=80;"
+            "crash:card=1,at=0.03,repair=0.03",
+            "linkout:at=0.05,for=0.02",
+        ],
+    )
+    def test_faulted_values_equal_fault_free(self, scenario, tape, stream, spec):
+        server = _server(scenario, tape)
+        self._warm(server, 3)
+        faulted = _values(
+            server.serve(stream, faults=FaultPlan.from_spec(spec, seed=7))
+        )
+        assert server.last_fault_report is not None
+        # Fault-free reference from a cold server: nothing shared with
+        # the faulted server's memo.
+        clean = _values(_server(scenario, tape).serve(stream))
+        assert faulted
+        for request_id, value in faulted.items():
+            assert value == clean[request_id], request_id

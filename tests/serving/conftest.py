@@ -29,8 +29,8 @@ def tape(serving_scenario):
     )
 
 
-@pytest.fixture(scope="module")
-def server(serving_scenario, tape) -> QuoteServer:
+def make_server(serving_scenario, tape) -> QuoteServer:
+    """A fresh small server (cold quote-surface memo) over ``tape``."""
     return QuoteServer(
         make_book("heterogeneous", N_POSITIONS, seed=5),
         tape,
@@ -40,6 +40,11 @@ def server(serving_scenario, tape) -> QuoteServer:
         queue=BatchQueue(max_batch=16, linger_s=1e-3),
         queue_depth=256,
     )
+
+
+@pytest.fixture(scope="module")
+def server(serving_scenario, tape) -> QuoteServer:
+    return make_server(serving_scenario, tape)
 
 
 @pytest.fixture(scope="module")

@@ -10,12 +10,14 @@ from repro.serving import (
     DispatchCostModel,
     PricingRequest,
     QuoteServer,
+    make_market_tape,
     make_request_stream,
 )
 from repro.serving.metrics import LatencyStats
 from repro.serving.request import ShedReason
+from repro.telemetry import KernelProfiler
 
-from .conftest import N_POSITIONS, N_STATES
+from .conftest import N_POSITIONS, N_STATES, make_server
 
 
 class TestDispatchCostModel:
@@ -272,6 +274,86 @@ class TestValueSemantics:
         # VaR is a loss quantile: finite, and its sign is meaningful
         # (positive when the tail loses money).
         assert all(np.isfinite(r.value) for r in var_vals)
+
+
+def _kernel(profiler: KernelProfiler, name: str) -> int:
+    return int(profiler.registry.get(f"kernel_{name}_total").value)
+
+
+class TestQuoteSurfaceMemo:
+    """Each tape row reaches the kernel at most once per server."""
+
+    N_MEMO_STATES = 256
+
+    @pytest.fixture(scope="class")
+    def memo_tape(self, serving_scenario):
+        return make_market_tape(
+            serving_scenario.yield_curve(),
+            serving_scenario.hazard_curve(),
+            self.N_MEMO_STATES,
+            seed=13,
+        )
+
+    @pytest.fixture(scope="class")
+    def memo_stream(self):
+        return make_request_stream(
+            4000,
+            rate_hz=2000.0,
+            n_states=self.N_MEMO_STATES,
+            n_positions=N_POSITIONS,
+            var_rows=6,
+            seed=17,
+        )
+
+    def test_kernel_rows_bounded_by_tape(
+        self, serving_scenario, memo_tape, memo_stream
+    ):
+        server = make_server(serving_scenario, memo_tape)
+        with KernelProfiler() as first_run:
+            first = server.serve(memo_stream)
+        batched_rows = round(first.mean_batch_rows * first.n_dispatches)
+        assert first.n_completed == len(memo_stream)
+        # Batches revisit rows many times over; the kernel does not.
+        assert batched_rows > 4 * memo_tape.n_scenarios
+        assert 0 < _kernel(first_run, "rows") <= memo_tape.n_scenarios
+
+        with KernelProfiler() as second_run:
+            second = server.serve(memo_stream)
+        assert _kernel(second_run, "rows") == 0
+        assert _kernel(second_run, "calls") == 0
+        assert [r.value for r in second.responses] == [
+            r.value for r in first.responses
+        ]
+
+        # The reference path stays independent of the memo: one kernel
+        # call per request, and the same bits the memo served.
+        sample = list(memo_stream[:: len(memo_stream) // 25])
+        with KernelProfiler() as reference:
+            individual = server.price_individually(sample)
+        assert _kernel(reference, "calls") == len(sample)
+        served = {r.request_id: r.value for r in first.responses}
+        assert individual == [served[req.request_id] for req in sample]
+
+    def test_rebinding_tape_drops_memo(self, serving_scenario, tape, stream):
+        server = make_server(serving_scenario, tape)
+        old = {r.request_id: r.value for r in server.serve(stream).responses}
+        new_tape = make_market_tape(
+            serving_scenario.yield_curve(),
+            serving_scenario.hazard_curve(),
+            N_STATES,
+            seed=4,
+        )
+        server.tape = new_tape
+        res = server.serve(stream)
+        new = {r.request_id: r.value for r in res.responses}
+        answered = [req for req in stream if req.request_id in new]
+        reference = make_server(serving_scenario, new_tape)
+        assert [new[req.request_id] for req in answered] == (
+            reference.price_individually(answered)
+        )
+        assert sum(new[i] != old[i] for i in new.keys() & old.keys()) > (
+            len(answered) // 2
+        )
 
 
 class TestLatencyStats:
