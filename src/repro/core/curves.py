@@ -144,16 +144,20 @@ class Curve:
             return float(result)
         return result
 
-    def locate(self, t: float) -> int:
+    def locate(self, t: float | np.ndarray) -> int | np.ndarray:
         """Index of the first knot with time >= ``t`` (clamped to the last).
 
         This mirrors the linear search the FPGA interpolation unit performs
         over the rate table; the *timing* of that search is modelled in
         :mod:`repro.hls.interpolation`, while this method provides the
-        functional answer.
+        functional answer.  Vectorised over ``t``.
         """
-        idx = int(np.searchsorted(self._times, t, side="left"))
-        return min(idx, len(self) - 1)
+        idx = np.minimum(
+            np.searchsorted(self._times, t, side="left"), len(self) - 1
+        )
+        if np.isscalar(t) or np.ndim(t) == 0:
+            return int(idx)
+        return idx
 
 
 class YieldCurve(Curve):
@@ -259,7 +263,7 @@ class HazardCurve(Curve):
             return float(p)
         return p
 
-    def accumulation_length(self, t: float) -> int:
+    def accumulation_length(self, t: float | np.ndarray) -> int | np.ndarray:
         """Number of curve entries the FPGA hazard stage accumulates for ``t``.
 
         The Vitis engine walks the hazard table from the start and
@@ -267,14 +271,18 @@ class HazardCurve(Curve):
         segment).  This count drives the *cycle cost* of the hazard stage in
         the simulator: with the baseline II=7 accumulator the stage takes
         ``7 * accumulation_length(t)`` cycles, with the Listing-1 accumulator
-        roughly ``accumulation_length(t)`` cycles.
+        roughly ``accumulation_length(t)`` cycles.  Vectorised over ``t``.
         """
-        if t <= 0.0:
-            return 0
-        idx = int(np.searchsorted(self._times, t, side="right"))
+        tt = np.asarray(t, dtype=np.float64)
         # Entries strictly before t, plus the partial segment containing t
         # (unless t lies exactly on or beyond the final knot).
-        return min(idx + 1, len(self))
+        counts = np.minimum(
+            np.searchsorted(self._times, tt, side="right") + 1, len(self)
+        )
+        counts = np.where(tt <= 0.0, 0, counts)
+        if np.isscalar(t) or np.ndim(t) == 0:
+            return int(counts)
+        return counts
 
 
 # ----------------------------------------------------------------------

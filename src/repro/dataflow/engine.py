@@ -39,6 +39,11 @@ __all__ = ["Simulator", "SimulationResult", "feeder", "collector"]
 #: Hard command-count guard against runaway kernels.
 DEFAULT_MAX_COMMANDS = 200_000_000
 
+_READY = ProcessState.READY
+_BLOCKED_READ = ProcessState.BLOCKED_READ
+_BLOCKED_WRITE = ProcessState.BLOCKED_WRITE
+_DONE = ProcessState.DONE
+
 
 @dataclass
 class SimulationResult:
@@ -213,21 +218,34 @@ class Simulator:
     def _step(
         self, p: Process, ready: deque[Process], trace: Any, budget: int
     ) -> int:
-        """Run ``p`` until it blocks or finishes; returns commands executed."""
-        gen = p.generator
+        """Run ``p`` until it blocks or finishes; returns commands executed.
+
+        This is the simulator's hot loop, so it owns the FIFO accounting:
+        pops, pushes and :class:`StreamStats` updates act directly on each
+        stream's deque (as :meth:`Stream.pop`/:meth:`Stream.push` do, minus
+        the re-checks), and the running process's clock and busy cycles
+        live in locals until it blocks or finishes.  Each ``max`` of two
+        timestamps is written as a comparison that keeps the first operand
+        on ties, as :func:`max` does, so every cycle count is the same.
+        """
+        send = p.generator.send
+        cmd = p.pending
+        p.pending = None
+        now = p.time
+        busy = p.busy_cycles
+        value = None
         executed = 0
         while True:
             # Either retry the command we blocked on, or fetch the next one.
-            if p.pending is not None:
-                cmd = p.pending
-                p.pending = None
-            else:
+            if cmd is None:
                 try:
-                    cmd = gen.send(p._resume_value)
+                    cmd = send(value)
                 except StopIteration:
-                    p.state = ProcessState.DONE
+                    p.time = now
+                    p.busy_cycles = busy
+                    p.state = _DONE
                     return executed
-                p._resume_value = None
+                value = None
                 executed += 1
                 if executed > budget:
                     raise SimulationError(
@@ -235,88 +253,105 @@ class Simulator:
                         "likely a non-terminating kernel"
                     )
 
-            if type(cmd) is Delay:
-                p.time += cmd.cycles
-                p.busy_cycles += cmd.cycles
-                continue
+            kind = type(cmd)
+            if kind is Delay:
+                cycles = cmd.cycles
+                now += cycles
+                busy += cycles
 
-            if type(cmd) is Read:
+            elif kind is Read:
                 s = cmd.stream
-                if s.reader is None:
+                if s.reader is not p:
+                    if s.reader is not None:
+                        raise SimulationError(
+                            f"{p.name!r} read from {s.name!r} owned by "
+                            f"{s.reader.name!r}"
+                        )
                     s.bind_reader(p)
                     p.reads.add(s.name)
-                elif s.reader is not p:
-                    raise SimulationError(
-                        f"{p.name!r} read from {s.name!r} owned by {s.reader.name!r}"
-                    )
-                if s.empty:
+                fifo = s._fifo
+                if not fifo:
+                    p.time = now
+                    p.busy_cycles = busy
                     p.pending = cmd
-                    p.state = ProcessState.BLOCKED_READ
-                    p.block_since = p.time
+                    p.state = _BLOCKED_READ
+                    p.block_since = now
                     return executed
-                ready_time, value = s.pop()
-                if ready_time > p.time:
-                    wait = ready_time - p.time
+                ready_time, value = fifo.popleft()
+                if ready_time > now:
+                    wait = ready_time - now
                     p.stall_read_cycles += wait
                     s.stats.reader_stall_cycles += wait
-                    p.time = ready_time
+                    now = ready_time
                 if trace is not None:
-                    trace.record("read", p.time, p.name, s.name)
+                    trace.record("read", now, p.name, s.name)
                 # Popping freed a slot: release a back-pressured writer.
                 w = s.writer
                 if (
                     w is not None
-                    and w.state is ProcessState.BLOCKED_WRITE
+                    and w.state is _BLOCKED_WRITE
                     and w.pending is not None
                     and w.pending.stream is s
                 ):
-                    stall = max(0.0, p.time - w.block_since)
-                    w.stall_write_cycles += stall
-                    s.stats.writer_stall_cycles += stall
-                    w.time = max(w.time, p.time)
-                    w.state = ProcessState.READY
+                    stall = now - w.block_since
+                    if stall > 0.0:
+                        w.stall_write_cycles += stall
+                        s.stats.writer_stall_cycles += stall
+                    if now > w.time:
+                        w.time = now
+                    w.state = _READY
                     ready.append(w)
-                p._resume_value = value
-                continue
 
-            if type(cmd) is Write:
+            elif kind is Write:
                 s = cmd.stream
-                if s.writer is None:
+                if s.writer is not p:
+                    if s.writer is not None:
+                        raise SimulationError(
+                            f"{p.name!r} wrote to {s.name!r} owned by "
+                            f"{s.writer.name!r}"
+                        )
                     s.bind_writer(p)
                     p.writes.add(s.name)
-                elif s.writer is not p:
-                    raise SimulationError(
-                        f"{p.name!r} wrote to {s.name!r} owned by {s.writer.name!r}"
-                    )
                 if cmd.issue_time is None:
-                    cmd.issue_time = p.time
-                if s.full:
+                    cmd.issue_time = now
+                fifo = s._fifo
+                if len(fifo) >= s.depth:
+                    p.time = now
+                    p.busy_cycles = busy
                     p.pending = cmd
-                    p.state = ProcessState.BLOCKED_WRITE
-                    p.block_since = p.time
+                    p.state = _BLOCKED_WRITE
+                    p.block_since = now
                     return executed
                 # The value was computed at issue time even if the FIFO was
                 # full in between (it waited in the pipeline output
                 # register), so readiness is issue + latency or the moment
                 # the slot freed, whichever is later.
-                s.push(max(cmd.issue_time + cmd.delay, p.time), cmd.value)
+                ready_time = cmd.issue_time + cmd.delay
+                if now > ready_time:
+                    ready_time = now
+                fifo.append((ready_time, cmd.value))
+                stats = s.stats
+                stats.tokens += 1
+                if len(fifo) > stats.max_occupancy:
+                    stats.max_occupancy = len(fifo)
                 if trace is not None:
-                    trace.record("write", p.time, p.name, s.name)
+                    trace.record("write", now, p.name, s.name)
                 # A token arrived: release a starved reader.
                 r = s.reader
                 if (
                     r is not None
-                    and r.state is ProcessState.BLOCKED_READ
+                    and r.state is _BLOCKED_READ
                     and r.pending is not None
                     and r.pending.stream is s
                 ):
-                    r.state = ProcessState.READY
+                    r.state = _READY
                     ready.append(r)
-                continue
 
-            raise SimulationError(
-                f"kernel {p.name!r} yielded unknown command {cmd!r}"
-            )
+            else:
+                raise SimulationError(
+                    f"kernel {p.name!r} yielded unknown command {cmd!r}"
+                )
+            cmd = None
 
 
 # ----------------------------------------------------------------------

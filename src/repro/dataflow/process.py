@@ -144,7 +144,6 @@ class Process:
         "group",
         "pending",
         "block_since",
-        "_resume_value",
         "reads",
         "writes",
     )
@@ -161,7 +160,6 @@ class Process:
         #: Pending blocked command (Read or Write) awaiting a wakeup.
         self.pending: Read | Write | None = None
         self.block_since: float = 0.0
-        self._resume_value: Any = None
         #: Streams this process reads / writes (discovered during execution,
         #: pre-registered via Simulator.process(reads=..., writes=...)).
         self.reads: set[str] = set()

@@ -112,7 +112,9 @@ class Stream:
         self.writer = process
 
     # ------------------------------------------------------------------
-    # FIFO operations (used by the scheduler, not end users)
+    # FIFO operations, for preloading and inspecting a stream.  The
+    # scheduler's hot loop (Simulator._step) does the same accounting
+    # directly on ``_fifo``.
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._fifo)

@@ -39,6 +39,19 @@ __all__ = ["StageModels", "port_contention_factor"]
 #: Latency of the time-grid address arithmetic.
 GRID_LATENCY = 4.0
 
+# Read and Delay commands carry no per-use state (only Write is stamped
+# with its issue time), so kernels share one instance per stream or cycle
+# count instead of allocating one per token.
+_TICK = Delay(1)
+_COMBINE_TICK = Delay(2)
+
+
+def _my_points(times, counter: int, stride: int, offset: int):
+    """This replica's share of one option's points under the cyclic
+    scheduler of Fig. 3, whose counter runs on across options: the points
+    ``i`` with ``(counter + i) % stride == offset``."""
+    return times[(offset - counter) % stride :: stride]
+
 
 def port_contention_factor(replicas: int, ports: int) -> float:
     """Slow-down of each replica's table scan from shared URAM ports.
@@ -125,10 +138,10 @@ class StageModels:
                 (oi, wl.options[oi].recovery_rate),
                 delay=GRID_LATENCY,
             )
-            for t, dt in zip(sched.times, sched.accruals):
-                yield Write(out_haz, (float(t), float(dt)), delay=GRID_LATENCY)
-                yield Write(out_int, float(t), delay=GRID_LATENCY)
-                yield Delay(1)
+            for t, dt in zip(sched.times.tolist(), sched.accruals.tolist()):
+                yield Write(out_haz, (t, dt), delay=GRID_LATENCY)
+                yield Write(out_int, t, delay=GRID_LATENCY)
+                yield _TICK
 
     def hazard_accumulate(
         self,
@@ -150,20 +163,30 @@ class StageModels:
         URAM ports.  ``stride``/``offset`` implement round-robin replication
         (this replica handles points ``offset, offset+stride, ...`` of each
         option, matching Fig. 3's cyclic scheduler).
+
+        ``Lambda`` and the accumulation lengths are evaluated once per
+        option over the points this replica receives (elementwise, so
+        bit-identical to per-point calls); the tokens read carry the same
+        times.
         """
         hc = wl.hazard_curve
+        read = Read(inp)
+        steps: dict[int, Delay] = {}  # per accumulation length
         counter = 0  # global across options: the cyclic scheduler of Fig. 3
         for oi in indices:
-            n_points = len(wl.schedules[oi])
-            for _ in range(n_points):
-                mine = counter % stride == offset
-                counter += 1
-                if not mine:
-                    continue
-                t, dt = yield Read(inp)
-                n_entries = hc.accumulation_length(t)
-                yield Delay(self.accumulator.cycles(n_entries) * port_factor)
-                lam = hc.integrated(t)
+            times = wl.schedules[oi].times
+            mine = _my_points(times, counter, stride, offset)
+            counter += len(times)
+            lams = hc.integrated(mine).tolist()
+            lengths = hc.accumulation_length(mine).tolist()
+            for lam, n_entries in zip(lams, lengths):
+                _t, dt = yield read
+                step = steps.get(n_entries)
+                if step is None:
+                    step = steps[n_entries] = Delay(
+                        self.accumulator.cycles(n_entries) * port_factor
+                    )
+                yield step
                 yield Write(out, (lam, dt), delay=self.add_latency)
 
     def default_probability(
@@ -181,17 +204,17 @@ class StageModels:
         """
         import numpy as np
 
+        read = Read(inp)
+        latency = self.exp_latency + self.add_latency
         for oi in indices:
             s_prev = 1.0
             for _ in range(len(wl.schedules[oi])):
-                lam, dt = yield Read(inp)
+                lam, dt = yield read
                 s = float(np.exp(-lam))
                 ds = s_prev - s
                 s_prev = s
-                yield Write(
-                    out, (s, ds, dt), delay=self.exp_latency + self.add_latency
-                )
-                yield Delay(1)
+                yield Write(out, (s, ds, dt), delay=latency)
+                yield _TICK
 
     def interpolate(
         self,
@@ -210,21 +233,30 @@ class StageModels:
         fixed-bound table scan (see
         :class:`~repro.hls.interpolation.InterpolatorModel`), stretched by
         ``port_factor`` under replication.
+
+        Rates and table positions are evaluated once per option over the
+        points this replica receives (elementwise, so bit-identical to
+        per-point calls).
         """
         yc = wl.yield_curve
+        interpolator = self.interpolator
+        arith = interpolator.arithmetic_latency
+        read = Read(inp)
+        steps: dict[int, Delay] = {}  # per located table index
         counter = 0  # global across options: the cyclic scheduler of Fig. 3
         for oi in indices:
-            n_points = len(wl.schedules[oi])
-            for _ in range(n_points):
-                mine = counter % stride == offset
-                counter += 1
-                if not mine:
-                    continue
-                t = yield Read(inp)
-                scan = self.interpolator.evaluation_cycles(yc.locate(t))
-                arith = self.interpolator.arithmetic_latency
-                yield Delay((scan - arith) * port_factor)
-                r = yc.interpolate(t)
+            times = wl.schedules[oi].times
+            mine = _my_points(times, counter, stride, offset)
+            counter += len(times)
+            rates = yc.interpolate(mine).tolist()
+            located = yc.locate(mine).tolist()
+            for r, index in zip(rates, located):
+                t = yield read
+                step = steps.get(index)
+                if step is None:
+                    scan = interpolator.evaluation_cycles(index)
+                    step = steps[index] = Delay((scan - arith) * port_factor)
+                yield step
                 yield Write(out, (t, r), delay=arith)
 
     def discount(
@@ -237,12 +269,14 @@ class StageModels:
         """Discount factor ``D = exp(-r * t)`` per time point."""
         import numpy as np
 
+        read = Read(inp)
+        latency = self.mul_latency + self.exp_latency
         for oi in indices:
             for _ in range(len(wl.schedules[oi])):
-                t, r = yield Read(inp)
+                t, r = yield read
                 d = float(np.exp(-r * t))
-                yield Write(out, d, delay=self.mul_latency + self.exp_latency)
-                yield Delay(1)
+                yield Write(out, d, delay=latency)
+                yield _TICK
 
     def tee(
         self,
@@ -257,11 +291,12 @@ class StageModels:
         duplication function — same constraint as our simulator.
         """
         total = sum(len(wl.schedules[oi]) for oi in indices)
+        read = Read(inp)
         for _ in range(total):
-            v = yield Read(inp)
+            v = yield read
             for o in outs:
                 yield Write(o, v)
-            yield Delay(1)
+            yield _TICK
 
     def payment(
         self,
@@ -272,12 +307,14 @@ class StageModels:
         out: Stream,
     ) -> Kernel:
         """Premium-leg contribution ``D * S * dt`` per time point."""
+        read_s, read_d = Read(in_s), Read(in_d)
+        latency = 2 * self.mul_latency
         for oi in indices:
             for _ in range(len(wl.schedules[oi])):
-                s, _ds, dt = yield Read(in_s)
-                d = yield Read(in_d)
-                yield Write(out, d * s * dt, delay=2 * self.mul_latency)
-                yield Delay(1)
+                s, _ds, dt = yield read_s
+                d = yield read_d
+                yield Write(out, d * s * dt, delay=latency)
+                yield _TICK
 
     def payoff(
         self,
@@ -289,12 +326,13 @@ class StageModels:
     ) -> Kernel:
         """Protection-leg contribution ``D * dS`` per time point
         (the loss-given-default factor is applied once in ``combine``)."""
+        read_s, read_d = Read(in_s), Read(in_d)
         for oi in indices:
             for _ in range(len(wl.schedules[oi])):
-                _s, ds, _dt = yield Read(in_s)
-                d = yield Read(in_d)
+                _s, ds, _dt = yield read_s
+                d = yield read_d
                 yield Write(out, d * ds, delay=self.mul_latency)
-                yield Delay(1)
+                yield _TICK
 
     def accrual(
         self,
@@ -305,12 +343,14 @@ class StageModels:
         out: Stream,
     ) -> Kernel:
         """Accrued-premium contribution ``D * dS * dt / 2`` per time point."""
+        read_s, read_d = Read(in_s), Read(in_d)
+        latency = 2 * self.mul_latency
         for oi in indices:
             for _ in range(len(wl.schedules[oi])):
-                _s, ds, dt = yield Read(in_s)
-                d = yield Read(in_d)
-                yield Write(out, d * ds * dt * 0.5, delay=2 * self.mul_latency)
-                yield Delay(1)
+                _s, ds, dt = yield read_s
+                d = yield read_d
+                yield Write(out, d * ds * dt * 0.5, delay=latency)
+                yield _TICK
 
     def leg_accumulator(
         self,
@@ -327,13 +367,15 @@ class StageModels:
         reduction per option.
         """
         acc = self.accumulator
+        read = Read(inp)
+        step = Delay(acc.ii)
         for oi in indices:
             n = len(wl.schedules[oi])
             total = 0.0
             for _ in range(n):
-                v = yield Read(inp)
+                v = yield read
                 total += v
-                yield Delay(acc.ii)
+                yield step
             tail = max(0.0, acc.cycles(n) - n * acc.ii)
             yield Delay(tail)
             yield Write(out, total, delay=self.add_latency)
@@ -373,7 +415,7 @@ class StageModels:
                 (oi, spread),
                 delay=self.div_latency + self.mul_latency,
             )
-            yield Delay(2)
+            yield _COMBINE_TICK
 
     def result_drain(
         self,
@@ -382,10 +424,11 @@ class StageModels:
         sink: dict[int, float],
     ) -> Kernel:
         """Collect ``(index, spread)`` results into ``sink``."""
+        read = Read(inp)
         for _ in range(count):
-            oi, spread = yield Read(inp)
+            oi, spread = yield read
             sink[int(oi)] = float(spread)
-            yield Delay(1)
+            yield _TICK
 
     # ==================================================================
     # Round-robin replication plumbing (Fig. 3)
@@ -404,13 +447,14 @@ class StageModels:
         the replica count.
         """
         k = len(outs)
+        read = Read(inp)
         counter = 0
         for oi in indices:
             for _ in range(len(wl.schedules[oi])):
-                v = yield Read(inp)
+                v = yield read
                 yield Write(outs[counter % k], v)
                 counter += 1
-                yield Delay(1)
+                yield _TICK
 
     def rr_collect(
         self,
@@ -420,11 +464,12 @@ class StageModels:
         out: Stream,
     ) -> Kernel:
         """Cyclic collector: gather replica outputs preserving point order."""
-        k = len(ins)
+        reads = [Read(s) for s in ins]
+        k = len(reads)
         counter = 0
         for oi in indices:
             for _ in range(len(wl.schedules[oi])):
-                v = yield Read(ins[counter % k])
+                v = yield reads[counter % k]
                 counter += 1
                 yield Write(out, v)
-                yield Delay(1)
+                yield _TICK

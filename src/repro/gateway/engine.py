@@ -47,7 +47,12 @@ from repro.risk.engine import Portfolio
 from repro.risk.tensor import ScenarioTensor
 from repro.serving.coalescer import MicroBatch, MicroBatchCoalescer
 from repro.serving.engine import QuoteServer
-from repro.serving.metrics import CardLoad, LatencyStats, ServingResult
+from repro.serving.metrics import (
+    CardLoad,
+    CardTallies,
+    LatencyStats,
+    ServingResult,
+)
 from repro.serving.request import (
     FailRecord,
     PricingRequest,
@@ -56,12 +61,7 @@ from repro.serving.request import (
     ShedRecord,
 )
 from repro.sim import CompletionTracker, Simulation
-from repro.telemetry import (
-    NULL_TELEMETRY,
-    Counter,
-    MetricsRegistry,
-    Telemetry,
-)
+from repro.telemetry import NULL_TELEMETRY, MetricsRegistry, Telemetry
 from repro.workloads.scenarios import PaperScenario
 
 from repro.gateway.cache import DEFAULT_HIT_LATENCY_S, QuoteCache, cache_key
@@ -73,27 +73,6 @@ if TYPE_CHECKING:  # fault types are optional at runtime (lazy import)
     from repro.faults import FaultPlan, HedgePolicy, RetryPolicy
 
 __all__ = ["Gateway"]
-
-
-def _labelled_counters(
-    registry: MetricsRegistry, name: str, help_text: str, label: str
-):
-    """Per-label-value counter lookup, resolved once per value.
-
-    Each handle is created on its value's first use, so the registry
-    ends up with exactly the keys per-call lookups would have made.
-    """
-    handles: dict[str, Counter] = {}
-
-    def get(value: str) -> Counter:
-        handle = handles.get(value)
-        if handle is None:
-            handle = handles[value] = registry.counter(
-                name, help_text, labels={label: value}
-            )
-        return handle
-
-    return get
 
 
 class _Lane:
@@ -126,6 +105,7 @@ class _Lane:
         self.shed_queue = self.metrics.counter(
             "serving_requests_shed_queue_total", "arrivals shed on backpressure"
         )
+        self.card_tallies = CardTallies(self.metrics)
         self.trace: list[PricingRequest] = []
         self.responses: list[PricingResponse] = []
         self.queue_sheds: list[ShedRecord] = []
@@ -155,7 +135,9 @@ class _Lane:
             if self.dispatcher is not None:
                 self.dispatcher.run_batch(batch)
             else:
-                done = self.server._run_batch(batch, self.rig, self.metrics)
+                done = self.server._run_batch(
+                    batch, self.rig, self.card_tallies
+                )
                 self.responses.extend(done)
                 for resp in done:
                     self.in_flight.push(resp.completion_s)
@@ -229,23 +211,27 @@ class Gateway:
         self.cache_enabled = bool(cache)
         self.cache_hit_latency_s = cache_hit_latency_s
         self.queue_depth = queue_depth
-        self.servers = tuple(
-            QuoteServer(
-                book,
-                tape,
-                scenario=scenario,
-                n_cards=n_cards,
-                n_engines=n_engines,
-                scheduler=scheduler,
-                link=link,
-                queue=queue,
-                queue_depth=queue_depth,
-                chunk_size=chunk_size,
-                backend=backend,
-                telemetry=telemetry,
+        servers: list[QuoteServer] = []
+        for _ in range(n_servers):
+            servers.append(
+                QuoteServer(
+                    book,
+                    tape,
+                    scenario=scenario,
+                    n_cards=n_cards,
+                    n_engines=n_engines,
+                    scheduler=scheduler,
+                    link=link,
+                    queue=queue,
+                    queue_depth=queue_depth,
+                    chunk_size=chunk_size,
+                    backend=backend,
+                    # Identical replicas: calibrate the first, share it.
+                    cost_model=servers[0].cost_model if servers else None,
+                    telemetry=telemetry,
+                )
             )
-            for _ in range(n_servers)
-        )
+        self.servers = tuple(servers)
         self.ring = HashRing(range(n_servers), replicas=ring_replicas)
 
     @property
@@ -354,16 +340,16 @@ class Gateway:
         invalidations_total = gw.counter(
             "gateway_cache_invalidations_total", "cache entries dropped by ticks"
         )
-        requests_total = _labelled_counters(
-            gw, "gateway_requests_total", "requests offered to the gateway",
-            "tenant",
+        requests_total = gw.labelled_counters(
+            "gateway_requests_total", "requests offered to the gateway",
+            label="tenant",
         )
-        shed_quota_total = _labelled_counters(
-            gw, "gateway_shed_quota_total", "requests rejected by tenant quotas",
-            "tenant",
+        shed_quota_total = gw.labelled_counters(
+            "gateway_shed_quota_total", "requests rejected by tenant quotas",
+            label="tenant",
         )
-        routed_total = _labelled_counters(
-            gw, "gateway_routed_total", "requests routed to servers", "server"
+        routed_total = gw.labelled_counters(
+            "gateway_routed_total", "requests routed to servers", label="server"
         )
         cache_responses: list[PricingResponse] = []
         quota_sheds: list[ShedRecord] = []
@@ -533,7 +519,7 @@ class Gateway:
                 cache.stats.misses += 1
                 misses_total.inc()
             lane = lanes[self.ring.route_request(req)]
-            routed_total(str(lane.index)).inc()
+            routed_total(lane.index).inc()
             boosted = (
                 req
                 if profile.priority_boost == 0

@@ -19,6 +19,7 @@ cost is the number of entries at or before the evaluation time (see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.curves import Curve
 from repro.errors import ValidationError
@@ -55,12 +56,13 @@ class InterpolatorModel:
         if self.scan_ii <= 0.0:
             raise ValidationError(f"scan_ii must be > 0, got {self.scan_ii}")
 
-    @property
+    @cached_property
     def arithmetic_latency(self) -> float:
         """Latency of the interpolation arithmetic after the scan.
 
         One subtract per axis, a divide for the slope and a multiply-add:
-        ``(t - t0) / (t1 - t0) * (v1 - v0) + v0``.
+        ``(t - t0) / (t1 - t0) * (v1 - v0) + v0``.  Computed once per
+        model: every evaluation of a table scan adds it.
         """
         return float(
             op("dsub").latency * 2

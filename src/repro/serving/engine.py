@@ -70,7 +70,12 @@ from repro.risk.engine import Portfolio, ScenarioRiskEngine
 from repro.risk.measures import value_at_risk
 from repro.risk.tensor import ScenarioTensor
 from repro.serving.coalescer import MicroBatch, MicroBatchCoalescer
-from repro.serving.metrics import CardLoad, LatencyStats, ServingResult
+from repro.serving.metrics import (
+    CardLoad,
+    CardTallies,
+    LatencyStats,
+    ServingResult,
+)
 from repro.serving.request import (
     PricingRequest,
     PricingResponse,
@@ -126,6 +131,13 @@ class QuoteServer:
         Base pricing backend behind the risk engine's session (registry
         name or :class:`~repro.api.PricingBackend` instance).  Must
         advertise ``supports_streaming``.
+    cost_model:
+        Reuse an already-calibrated
+        :class:`~repro.api.cost.DispatchCostModel` for the same backend,
+        scenario, book and engine count, instead of calibrating one here
+        (calibration runs a dataflow simulation of the whole book).
+        Replicas of one server share it this way, as
+        :meth:`~repro.api.PricingSession.timing_rig` does.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` handle.  With a
         recording handle every replay emits resource busy-window spans
@@ -155,6 +167,7 @@ class QuoteServer:
         queue_depth: int = 4096,
         chunk_size: int | None = None,
         backend: str | PricingBackend = "vectorized",
+        cost_model: DispatchCostModel | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
         if n_cards < 1:
@@ -197,12 +210,14 @@ class QuoteServer:
             telemetry=self.telemetry,
         )
         # Per-dispatch economics come from the backend's cost-model hook.
-        self.cost_model = self.engine.session.dispatch_cost_model(
-            self.engine.scenario,
-            self.engine.yield_curve,
-            self.engine.hazard_curve,
-            n_engines=n_engines,
-        )
+        if cost_model is None:
+            cost_model = self.engine.session.dispatch_cost_model(
+                self.engine.scenario,
+                self.engine.yield_curve,
+                self.engine.hazard_curve,
+                n_engines=n_engines,
+            )
+        self.cost_model = cost_model
         self._notionals = book.notionals
         self._base_pv = self.engine.base_pv
         # Quote-surface memo, allocated on first use and keyed on the
@@ -339,7 +354,7 @@ class QuoteServer:
         self,
         batch: MicroBatch,
         rig: ClusterTimingRig,
-        metrics: MetricsRegistry,
+        card_tallies: CardTallies,
     ) -> list[PricingResponse]:
         """Price one micro-batch and time it on the rig's resources."""
         rows = batch.rows
@@ -379,12 +394,7 @@ class QuoteServer:
                 batch.formed_s, card_id, n_rows, n_cells, contention=factor
             )
             issued_s = rig.last_host_window.done_s
-            metrics.counter(
-                "serving_card_rows_total", labels={"card": str(card_id)}
-            ).inc(n_rows)
-            metrics.counter(
-                "serving_card_cells_total", labels={"card": str(card_id)}
-            ).inc(n_cells)
+            card_tallies.add(card_id, n_rows, n_cells)
             for i in chunk:
                 row_done[rows[i]] = window.done_s
                 row_card[rows[i]] = card_id
@@ -530,13 +540,14 @@ class QuoteServer:
         shed_queue = metrics.counter(
             "serving_requests_shed_queue_total", "arrivals shed on backpressure"
         )
+        card_tallies = CardTallies(metrics)
         recorder = self.telemetry.recorder
         if monitor is not None:
             monitor.attach(sim, metrics, n_cards=self.n_cards)
 
         def run(batches: list[MicroBatch]) -> None:
             for batch in batches:
-                done = self._run_batch(batch, rig, metrics)
+                done = self._run_batch(batch, rig, card_tallies)
                 responses.extend(done)
                 for resp in done:
                     in_flight.push(resp.completion_s)

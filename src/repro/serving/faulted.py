@@ -45,6 +45,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.report import FaultCounters
 from repro.faults.retry import HedgePolicy, RetryPolicy
 from repro.serving.coalescer import MicroBatch
+from repro.serving.metrics import CardTallies
 from repro.serving.request import FailRecord, PricingResponse, ShedReason
 
 __all__ = ["FaultedDispatcher", "DEGRADE_FRACTIONS"]
@@ -108,7 +109,7 @@ class FaultedDispatcher:
         self.breakers = BreakerBank(server.n_cards)
         self.retry = retry if retry is not None else RetryPolicy(seed=plan.seed)
         self.hedge = hedge if hedge is not None else HedgePolicy(enabled=False)
-        self.metrics = metrics
+        self.card_tallies = CardTallies(metrics)
         self.in_flight = in_flight
         self.counters = FaultCounters()
         self.responses: list[PricingResponse] = []
@@ -243,12 +244,7 @@ class FaultedDispatcher:
         window = card_res.reserve(issue.done_s, service)
         self.counters.useful_work_s += service
         breaker.record_success(window.done_s)
-        self.metrics.counter(
-            "serving_card_rows_total", labels={"card": str(card)}
-        ).inc(len(chunk_rows))
-        self.metrics.counter(
-            "serving_card_cells_total", labels={"card": str(card)}
-        ).inc(n_cells)
+        self.card_tallies.add(card, len(chunk_rows), n_cells)
         return ("ok", window.done_s, service)
 
     def _maybe_hedge(self, state: _BatchState, successes, by_busy,

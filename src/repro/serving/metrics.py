@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.telemetry import MetricsRegistry
 from repro.serving.request import (
     FailRecord,
     PricingResponse,
@@ -22,8 +23,8 @@ from repro.serving.request import (
     ShedRecord,
 )
 
-__all__ = ["LatencyStats", "CardLoad", "ServingResult", "KindStats",
-           "per_kind_stats"]
+__all__ = ["LatencyStats", "CardLoad", "CardTallies", "ServingResult",
+           "KindStats", "per_kind_stats"]
 
 #: Canonical request-kind ordering for per-workload breakdowns.
 _KIND_ORDER = ("quote", "reval", "var")
@@ -136,6 +137,31 @@ class CardLoad:
     def idle(self) -> bool:
         """Whether this card served nothing."""
         return self.dispatches == 0
+
+
+class CardTallies:
+    """A replay's per-card dispatch counters, each handle resolved once.
+
+    Every dispatched chunk adds its rows and cells to
+    ``serving_card_rows_total{card=...}`` /
+    ``serving_card_cells_total{card=...}`` of the replay's registry;
+    :class:`CardLoad` reads them back in the roll-up.
+    """
+
+    __slots__ = ("_rows", "_cells")
+
+    def __init__(self, metrics: MetricsRegistry) -> None:
+        self._rows = metrics.labelled_counters(
+            "serving_card_rows_total", label="card"
+        )
+        self._cells = metrics.labelled_counters(
+            "serving_card_cells_total", label="card"
+        )
+
+    def add(self, card_id: int, n_rows: int, n_cells: int) -> None:
+        """Count one chunk dispatched to ``card_id``."""
+        self._rows(card_id).inc(n_rows)
+        self._cells(card_id).inc(n_cells)
 
 
 @dataclass(frozen=True)

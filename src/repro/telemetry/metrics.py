@@ -22,7 +22,7 @@ snapshots deterministic.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 from repro.errors import ValidationError
 
@@ -339,6 +339,28 @@ class MetricsRegistry:
         """Get or create a gauge."""
         key = metric_key(name, labels)
         return self._get_or_create(Gauge, key, lambda: Gauge(key, help_text))
+
+    def labelled_counters(
+        self, name: str, help_text: str = "", *, label: str
+    ) -> Callable[[object], Counter]:
+        """Counter lookup per value of one label, each resolved once.
+
+        Returns ``get(value)``: the counter ``name{label="value"}``,
+        created on the value's first use, so the registry ends up with
+        exactly the keys per-call :meth:`counter` lookups would have
+        made.  Hot loops hold ``get`` instead of rendering a key per call.
+        """
+        handles: dict[object, Counter] = {}
+
+        def get(value: object) -> Counter:
+            handle = handles.get(value)
+            if handle is None:
+                handle = handles[value] = self.counter(
+                    name, help_text, labels={label: str(value)}
+                )
+            return handle
+
+        return get
 
     def histogram(
         self,

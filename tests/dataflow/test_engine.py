@@ -262,3 +262,113 @@ class TestResultAccessors:
         sim.process("slow", _gen(Delay(100)))
         res = sim.run()
         assert res.bottleneck() == "slow"
+
+
+class TestSchedulerErrorPaths:
+    """Exact diagnostics and boundaries of the scheduler's hot loop."""
+
+    def test_deadlock_message_lists_every_blocked_process(self):
+        sim = Simulator("net")
+        a = sim.stream("a")
+        b = sim.stream("b", depth=1)
+
+        def starved():
+            yield Read(a)
+
+        def jammed():
+            yield Write(b, 1)
+            yield Write(b, 2)
+
+        sim.process("r", starved())
+        sim.process("w", jammed())
+        with pytest.raises(DeadlockError) as err:
+            sim.run()
+        assert str(err.value) == (
+            "dataflow network 'net' deadlocked with 2 blocked process(es): "
+            "r blocked-read on a; w blocked-write on b"
+        )
+
+    def test_spsc_violation_on_read(self):
+        sim = Simulator()
+        s = sim.stream("s", depth=4)
+        sim.process("w", _gen(Write(s, 1), Write(s, 2)), writes=(s,))
+        sim.process("r1", _gen(Read(s)), reads=(s,))
+        sim.process("r2", _gen(Read(s)))
+        with pytest.raises(SimulationError) as err:
+            sim.run()
+        assert str(err.value) == "'r2' read from 's' owned by 'r1'"
+
+    def test_spsc_violation_on_write(self):
+        sim = Simulator()
+        s = sim.stream("s", depth=4)
+        sim.process("w1", _gen(Write(s, 1)), writes=(s,))
+        sim.process("w2", _gen(Write(s, 2)))
+        sim.process("r", _gen(Read(s), Read(s)), reads=(s,))
+        with pytest.raises(SimulationError) as err:
+            sim.run()
+        assert str(err.value) == "'w2' wrote to 's' owned by 'w1'"
+
+    def test_first_use_binds_undeclared_streams(self):
+        sim = Simulator()
+        s = sim.stream("s")
+        w = sim.process("w", _gen(Write(s, 1)))
+        r = sim.process("r", _gen(Read(s)))
+        sim.run()
+        assert (s.writer, s.reader) == (w, r)
+        assert (w.writes, r.reads) == ({"s"}, {"s"})
+
+    def test_command_budget_boundary(self):
+        def ticks(n):
+            for _ in range(n):
+                yield Delay(1)
+
+        sim = Simulator()
+        sim.process("p", ticks(100))
+        assert sim.run(max_commands=100).commands == 100
+
+        sim = Simulator("tight")
+        sim.process("p", ticks(101))
+        with pytest.raises(SimulationError) as err:
+            sim.run(max_commands=100)
+        assert str(err.value) == (
+            "command budget exceeded in 'tight'; likely a non-terminating kernel"
+        )
+
+    def test_command_budget_spans_processes(self):
+        sim = Simulator()
+        sim.process("a", _gen(*[Delay(1)] * 60))
+        sim.process("b", _gen(*[Delay(1)] * 60))
+        with pytest.raises(SimulationError, match="budget"):
+            sim.run(max_commands=100)
+
+    def test_unknown_command_message(self):
+        sim = Simulator()
+        sim.process("p", _gen(Delay(1), "not-a-command"))
+        with pytest.raises(SimulationError) as err:
+            sim.run()
+        assert str(err.value) == (
+            "kernel 'p' yielded unknown command 'not-a-command'"
+        )
+
+    def test_traced_records_in_commit_order(self):
+        class Tape:
+            def __init__(self):
+                self.records = []
+
+            def record(self, kind, time, process, stream):
+                self.records.append((kind, time, process, stream))
+
+        sim = Simulator()
+        sim.tracer = tape = Tape()
+        s = sim.stream("s", depth=1)
+        sim.process("w", feeder(s, [1, 2], ii=1.0, latency=3.0))
+        sim.process("r", collector(s, 2, [], ii=5.0))
+        sim.run()
+        # The reader waits for each token's ready time (issue + 3); the
+        # second write blocks on the full FIFO until the first read.
+        assert tape.records == [
+            ("write", 0.0, "w", "s"),
+            ("read", 3.0, "r", "s"),
+            ("write", 3.0, "w", "s"),
+            ("read", 8.0, "r", "s"),
+        ]

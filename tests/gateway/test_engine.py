@@ -13,7 +13,7 @@ from repro.gateway import (
     TenantProfile,
     make_tenant_stream,
 )
-from repro.serving import QuoteServer, make_request_stream
+from repro.serving import DispatchCostModel, QuoteServer, make_request_stream
 from repro.serving.request import ShedReason
 from repro.telemetry import Telemetry
 
@@ -163,6 +163,25 @@ class TestIdentityPin:
         assert {r.request_id: r.value for r in res.responses} == {
             r.request_id: r.value for r in base.responses
         }
+
+
+class TestCalibration:
+    def test_servers_share_one_calibration(
+        self, book, tape, gateway_scenario, monkeypatch
+    ):
+        calls = []
+        calibrate = DispatchCostModel.calibrate.__func__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(cls)
+            return calibrate(cls, *args, **kwargs)
+
+        monkeypatch.setattr(
+            DispatchCostModel, "calibrate", classmethod(counting)
+        )
+        gw = small_gateway(book, tape, gateway_scenario, n_servers=3)
+        assert len(calls) == 1
+        assert all(s.cost_model is gw.servers[0].cost_model for s in gw.servers)
 
 
 class TestDrain:

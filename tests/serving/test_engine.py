@@ -15,7 +15,7 @@ from repro.serving import (
 )
 from repro.serving.metrics import LatencyStats
 from repro.serving.request import ShedReason
-from repro.telemetry import KernelProfiler
+from repro.telemetry import KernelProfiler, MetricsRegistry
 
 from .conftest import N_POSITIONS, N_STATES, make_server
 
@@ -40,6 +40,25 @@ class TestDispatchCostModel:
         base = m.service_seconds(4, 4, contention=1.0)
         stretched = m.service_seconds(4, 4, contention=2.0)
         assert base < stretched < 2.0 * base
+
+    def test_supplied_model_skips_calibration(
+        self, server, serving_scenario, tape, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("calibrated despite a supplied cost model")
+
+        monkeypatch.setattr(DispatchCostModel, "calibrate", refuse)
+        reuse = QuoteServer(
+            make_book("heterogeneous", N_POSITIONS, seed=5),
+            tape,
+            scenario=serving_scenario,
+            n_cards=2,
+            n_engines=2,
+            queue=server.queue,
+            queue_depth=256,
+            cost_model=server.cost_model,
+        )
+        assert reuse.cost_model is server.cost_model
 
     def test_validation(self, server):
         m = server.cost_model
@@ -127,6 +146,34 @@ class TestServe:
         assert "goodput" in res.summary()
         text = res.render()
         assert "Card" in text and "Util" in text
+
+
+class TestMetricLookups:
+    def test_lookups_per_replay_do_not_grow_with_traffic(
+        self, serving_scenario, tape, monkeypatch
+    ):
+        """Per-card counters are resolved once per replay, not per chunk."""
+        lookups = []
+        counter = MetricsRegistry.counter
+
+        def counting(self, name, *args, **kwargs):
+            lookups.append(name)
+            return counter(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(MetricsRegistry, "counter", counting)
+        server = make_server(serving_scenario, tape)
+        per_replay = []
+        for n in (300, 900):
+            lookups.clear()
+            res = server.serve(
+                make_request_stream(
+                    n, rate_hz=2000.0, n_states=N_STATES,
+                    n_positions=N_POSITIONS, var_rows=6, seed=11,
+                )
+            )
+            assert all(not card.idle for card in res.cards)
+            per_replay.append(len(lookups))
+        assert per_replay[0] == per_replay[1]
 
 
 class TestBackpressure:

@@ -103,6 +103,18 @@ class TestRegistry:
         assert reg.get('rows{card="0"}').value == 3
         assert reg.get('rows{card="1"}').value == 5
 
+    def test_labelled_counters_resolve_each_value_once(self):
+        reg = MetricsRegistry()
+        rows = reg.labelled_counters("rows", "rows sent", label="card")
+        assert len(reg) == 0  # nothing is registered before first use
+        rows(0).inc(3)
+        rows(1).inc(5)
+        rows(0).inc(1)
+        assert rows(0) is reg.counter("rows", labels={"card": "0"})
+        assert reg.names() == ('rows{card="0"}', 'rows{card="1"}')
+        assert reg.get('rows{card="0"}').value == 4
+        assert reg.get('rows{card="1"}').help_text == "rows sent"
+
     def test_absorb_adds_counters_sets_gauges(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.counter("n").inc(1)
