@@ -6,10 +6,11 @@ straggler, correlated multi-card loss, host-link brownout — and rolls
 each run up into one resilience row: goodput, tail latency, retries,
 hedges, breaker trips, duplicate work and recovery time.
 
-The first row is always the **zero-fault baseline**: it takes the exact
-legacy serving path, so its report must stay byte-identical to the
-committed serving goldens — the harness doubles as a regression pin that
-fault-injection support costs nothing when switched off.
+The first row is always the **zero-fault baseline**: it runs the one
+serving path with an empty fault plan, so its report must stay
+byte-identical to the committed serving goldens — the harness doubles as
+a regression pin that fault injection changes nothing when no fault is
+injected.
 
 Follows the :mod:`repro.analysis.serving` pattern: one ``generate_*``
 call, a deterministic text rendering, a JSON-friendly dict.

@@ -21,16 +21,11 @@ the single-card system.
     :class:`~repro.cluster.cluster.CDSCluster` — shard, price, roll up:
     aggregate options/second, per-card utilisation, total power.
 ``batching``
-    Host-side size-or-linger request coalescing and arrival-trace replay
-    with per-request latency percentiles.
+    Host-side size-or-linger request coalescing (the policy the serving
+    layer's micro-batcher runs online).
 """
 
-from repro.cluster.batching import (
-    BatchingReport,
-    BatchQueue,
-    DispatchBatch,
-    simulate_batched_stream,
-)
+from repro.cluster.batching import BatchQueue, DispatchBatch
 from repro.cluster.cluster import CDSCluster, ClusterResult, option_costs
 from repro.cluster.interconnect import HostLinkModel
 from repro.cluster.node import CardReport, ClusterNode
@@ -60,6 +55,4 @@ __all__ = [
     "option_costs",
     "BatchQueue",
     "DispatchBatch",
-    "BatchingReport",
-    "simulate_batched_stream",
 ]

@@ -17,9 +17,10 @@
 * :mod:`~repro.faults.report` — :class:`FaultReport` with per-phase
   goodput/p99, recovery time, and the duplicate-work ratio.
 
-The contract with the rest of the repo: with an empty plan (or no plan
-at all) every consuming layer takes its legacy code path and produces
-byte-identical output — faults are strictly additive.
+The contract with the rest of the repo: an empty plan (or no plan at
+all) produces byte-identical output.  The serving layer runs one
+dispatcher for every plan, the empty one included; the risk grid keeps
+a separate fault-free timing walk.
 """
 
 from repro.faults.breaker import BreakerBank, CircuitBreaker

@@ -67,15 +67,24 @@ class ClusterHealth:
             (d.at_s, d.until_s, d.factor) for d in plan.link_degradations
         ]
         self._link_out = [(o.at_s, o.until_s) for o in plan.link_outages]
+        # Every card, precomputed: without crashes the cluster is always
+        # whole, and the per-arrival/per-chunk queries below answer
+        # without scanning.
+        self._all_cards = tuple(range(n_cards))
+        self._any_down = bool(plan.crashes)
 
     # ------------------------------------------------------------------
     # Card availability
     def card_down(self, card: int, t: float) -> bool:
         """Whether ``card`` is inside an outage window at instant ``t``."""
+        if not self._any_down:
+            return False
         return any(s <= t < e for s, e in self._down[card])
 
     def healthy_cards(self, t: float) -> tuple[int, ...]:
         """Cards outside every outage window at instant ``t``."""
+        if not self._any_down:
+            return self._all_cards
         return tuple(
             c for c in range(self.n_cards) if not self.card_down(c, t)
         )
@@ -167,6 +176,8 @@ class ClusterHealth:
     # ------------------------------------------------------------------
     def capacity_reduced(self, t: float) -> bool:
         """Whether any card is down at ``t`` (degradation-ladder gate)."""
+        if not self._any_down:
+            return False
         return len(self.healthy_cards(t)) < self.n_cards
 
     def first_fault_s(self) -> float:

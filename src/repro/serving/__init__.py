@@ -24,6 +24,12 @@ and shards its market-state rows across cluster cards:
     :meth:`~repro.risk.engine.ScenarioRiskEngine.quote_rows` (any
     ``supports_streaming`` backend from the :mod:`repro.api` registry);
     batched answers are bit-identical to pricing each request alone.
+    :class:`~repro.serving.engine.Lane` is the one admit → coalesce →
+    dispatch loop a replay runs.
+``dispatch``
+    :class:`~repro.serving.dispatch.Dispatcher` — card sharding, host
+    and card timing, and (under a non-empty fault plan) retries,
+    breakers and hedging.
 ``metrics``
     :class:`~repro.serving.metrics.ServingResult` — p50/p95/p99 latency,
     goodput, shed rate, micro-batch shape and per-card loads.
@@ -33,7 +39,12 @@ and shards its market-state rows across cluster cards:
 """
 
 from repro.serving.coalescer import MicroBatch, MicroBatchCoalescer
-from repro.serving.engine import VAR_CONFIDENCE, DispatchCostModel, QuoteServer
+from repro.serving.engine import (
+    VAR_CONFIDENCE,
+    DispatchCostModel,
+    Lane,
+    QuoteServer,
+)
 from repro.serving.metrics import (
     CardLoad,
     KindStats,
@@ -64,6 +75,7 @@ __all__ = [
     "MicroBatchCoalescer",
     "DispatchCostModel",
     "QuoteServer",
+    "Lane",
     "VAR_CONFIDENCE",
     "LatencyStats",
     "CardLoad",

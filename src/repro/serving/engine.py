@@ -47,49 +47,55 @@ Admission control is a bounded outstanding-work queue: a request arriving
 while ``queue_depth`` admitted requests are still pending or in flight is
 shed immediately (backpressure), and pending requests whose deadline
 expires before their batch forms are shed by the coalescer.
+
+There is one serving loop.  A :class:`Lane` holds one server's state for
+one replay — timing rig, coalescer, in-flight tracker, metrics and
+outcomes — and runs admit → coalesce → dispatch through exactly one
+:class:`~repro.serving.dispatch.Dispatcher`.  :meth:`QuoteServer.serve`
+drives one lane; the gateway drives one per replica on a shared clock.
+A fault-free replay is the empty :class:`~repro.faults.FaultPlan`, not a
+second code path.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.api import PricingBackend, create_backend
-from repro.api.cost import ClusterTimingRig, DispatchCostModel
+from repro.api.cost import DispatchCostModel
 from repro.cluster.batching import BatchQueue
 from repro.cluster.interconnect import HostLinkModel
-from repro.cluster.scheduler import (
-    ClusterScheduler,
-    make_scheduler,
-    validate_partition,
-)
+from repro.cluster.scheduler import ClusterScheduler, make_scheduler
 from repro.errors import CapabilityError, ValidationError
+from repro.faults import (
+    ClusterHealth,
+    FaultPlan,
+    FaultReport,
+    HedgePolicy,
+    RetryPolicy,
+    build_fault_report,
+)
 from repro.risk.engine import Portfolio, ScenarioRiskEngine
 from repro.risk.measures import value_at_risk
 from repro.risk.tensor import ScenarioTensor
 from repro.serving.coalescer import MicroBatch, MicroBatchCoalescer
-from repro.serving.metrics import (
-    CardLoad,
-    CardTallies,
-    LatencyStats,
-    ServingResult,
-)
+from repro.serving.dispatch import DEGRADE_FRACTIONS, Dispatcher
+from repro.serving.metrics import CardLoad, LatencyStats, ServingResult
 from repro.serving.request import (
+    FailRecord,
     PricingRequest,
     PricingResponse,
     ShedReason,
     ShedRecord,
+    check_request,
 )
-from repro.sim import CompletionTracker
+from repro.sim import CompletionTracker, Simulation
 from repro.telemetry import NULL_TELEMETRY, MetricsRegistry, Telemetry
 from repro.workloads.scenarios import PaperScenario
 
-if TYPE_CHECKING:  # fault types are optional at runtime (lazy import)
-    from repro.faults import FaultPlan, FaultReport, HedgePolicy, RetryPolicy
-
-__all__ = ["DispatchCostModel", "QuoteServer", "VAR_CONFIDENCE"]
+__all__ = ["DispatchCostModel", "Lane", "QuoteServer", "VAR_CONFIDENCE"]
 
 #: Confidence level of the VaR-refresh request family.
 VAR_CONFIDENCE = 0.95
@@ -223,8 +229,8 @@ class QuoteServer:
         # Quote-surface memo, allocated on first use and keyed on the
         # tape by identity (see _surfaces).
         self._memo_tape: ScenarioTensor | None = None
-        #: Resilience summary of the most recent faulted :meth:`serve`
-        #: (``None`` after a fault-free replay).
+        #: Resilience summary of the most recent :meth:`serve` under a
+        #: non-empty fault plan (``None`` after a fault-free replay).
         self.last_fault_report: FaultReport | None = None
 
     @property
@@ -238,18 +244,6 @@ class QuoteServer:
         return len(self.engine.portfolio)
 
     # ------------------------------------------------------------------
-    def _check_request(self, req: PricingRequest) -> None:
-        if any(r >= self.tape.n_scenarios for r in req.rows):
-            raise ValidationError(
-                f"request {req.request_id} references market row beyond the "
-                f"{self.tape.n_scenarios}-state tape"
-            )
-        if req.option_index is not None and req.option_index >= self.n_positions:
-            raise ValidationError(
-                f"request {req.request_id} quotes option {req.option_index} "
-                f"beyond the {self.n_positions}-position book"
-            )
-
     def _values(
         self,
         requests: Sequence[PricingRequest],
@@ -322,7 +316,7 @@ class QuoteServer:
         """
         values: list[float] = []
         for req in requests:
-            self._check_request(req)
+            check_request(req, self.tape.n_scenarios, self.n_positions)
             rows = tuple(sorted(set(req.rows)))
             spreads, pv = self.engine.quote_rows(
                 self.tape, rows, chunk_size=self.chunk_size
@@ -350,140 +344,39 @@ class QuoteServer:
             for r, opts in wanted.items()
         }
 
-    def _run_batch(
-        self,
-        batch: MicroBatch,
-        rig: ClusterTimingRig,
-        card_tallies: CardTallies,
-    ) -> list[PricingResponse]:
-        """Price one micro-batch and time it on the rig's resources."""
-        rows = batch.rows
-        weight = self._batch_weights(batch)
-        assignment = self.scheduler.partition(
-            [float(weight[r]) for r in rows], self.n_cards
-        )
-        validate_partition(assignment, len(rows))
-        active = sum(1 for chunk in assignment if chunk)
-        factor = self.link.contention_factor(active)
-
-        # Host numerics: at most one kernel call, for the rows not yet
-        # priced on this tape; the card sharding above is timing-only.
-        spreads, pv = self._surfaces(rows)
-        values = self._values(batch.requests, rows, spreads, pv)
-
-        # Timing: heaviest chunks land on the least-busy cards (online
-        # in-flight balancing), dispatches serialising through the host
-        # resource before each card's busy-window reservation.
-        chunks = sorted(
-            (chunk for chunk in assignment if chunk),
-            key=lambda chunk: -sum(weight[rows[i]] for i in chunk),
-        )
-        by_busy = sorted(
-            range(self.n_cards), key=lambda c: (rig.cards[c].busy_until, c)
-        )
-        recorder = self.telemetry.recorder
-        row_done: dict[int, float] = {}
-        row_card: dict[int, int] = {}
-        row_issued: dict[int, float] = {}
-        row_start: dict[int, float] = {}
-        for slot, chunk in enumerate(chunks):
-            card_id = by_busy[slot]
-            n_rows = len(chunk)
-            n_cells = sum(weight[rows[i]] for i in chunk)
-            window = rig.dispatch(
-                batch.formed_s, card_id, n_rows, n_cells, contention=factor
-            )
-            issued_s = rig.last_host_window.done_s
-            card_tallies.add(card_id, n_rows, n_cells)
-            for i in chunk:
-                row_done[rows[i]] = window.done_s
-                row_card[rows[i]] = card_id
-                if recorder.enabled:
-                    row_issued[rows[i]] = issued_s
-                    row_start[rows[i]] = window.start_s
-
-        responses = []
-        for req, value in zip(batch.requests, values):
-            completion = max(row_done[r] for r in req.rows)
-            if recorder.enabled:
-                # Phase spans for the request's critical row — the one
-                # whose card window completes last.  The four phases
-                # tile [arrival, completion] with no gaps, so their
-                # durations sum exactly to the reported latency.
-                crit = max(req.rows, key=lambda r: (row_done[r], r))
-                tid = req.request_id
-                card = row_card[crit]
-                recorder.record(
-                    "coalesce", req.arrival_s, batch.formed_s,
-                    track="requests", category="request", trace_id=tid,
-                    kind=req.kind, args={"batch": batch.batch_id},
-                )
-                recorder.record(
-                    "host_link", batch.formed_s, row_issued[crit],
-                    track="requests", category="request", trace_id=tid,
-                    kind=req.kind, args={"card": card},
-                )
-                recorder.record(
-                    "card_queue", row_issued[crit], row_start[crit],
-                    track="requests", category="request", trace_id=tid,
-                    kind=req.kind, args={"card": card},
-                )
-                recorder.record(
-                    "card_service", row_start[crit], completion,
-                    track="requests", category="request", trace_id=tid,
-                    kind=req.kind, args={"card": card},
-                )
-            responses.append(
-                PricingResponse(
-                    request_id=req.request_id,
-                    kind=req.kind,
-                    value=value,
-                    arrival_s=req.arrival_s,
-                    formed_s=batch.formed_s,
-                    completion_s=completion,
-                    latency_s=completion - req.arrival_s,
-                    met_deadline=completion <= req.deadline_s,
-                    batch_id=batch.batch_id,
-                    cards=tuple(sorted({row_card[r] for r in req.rows})),
-                    tenant=req.tenant,
-                )
-            )
-        return responses
-
     def serve(
         self,
         requests: Sequence[PricingRequest],
         *,
-        faults: "FaultPlan | None" = None,
-        hedge: "HedgePolicy | None" = None,
-        retry: "RetryPolicy | None" = None,
+        faults: FaultPlan | None = None,
+        hedge: HedgePolicy | None = None,
+        retry: RetryPolicy | None = None,
         monitor=None,
     ) -> ServingResult:
         """Replay a request trace through the server on the unified clock.
 
         Each request arrival is an event on one :class:`~repro.sim.
-        Simulation`; its handler fires due linger timers, drains the
-        in-flight window, reaps expired pending work, applies the
-        admission bound, and offers the arrival to the coalescer.
-        Dispatched batches reserve busy windows on the timing rig's host
-        and card resources (see :meth:`_run_batch`).
+        Simulation`; its handler runs one :class:`Lane` step — fire due
+        linger timers, drain the in-flight window, reap expired pending
+        work, apply the admission bound, offer the arrival to the
+        coalescer.  Dispatched batches reserve busy windows on the timing
+        rig's host and card resources (see
+        :class:`~repro.serving.dispatch.Dispatcher`).
 
         Parameters
         ----------
         requests:
             The offered load; sorted internally by arrival time.
         faults:
-            Optional :class:`~repro.faults.FaultPlan`.  ``None`` or an
-            empty plan takes exactly the legacy path (byte-identical
-            output); a non-empty plan routes dispatch through the
-            failure-aware layer (retries, breakers, degradation ladder
-            — see :mod:`repro.serving.faulted`) and leaves the run's
+            Optional :class:`~repro.faults.FaultPlan`.  ``None`` means
+            the empty plan, which runs the same dispatcher with every
+            card healthy.  A non-empty plan brings retries, breakers and
+            the degradation ladder into play and leaves the run's
             :class:`~repro.faults.FaultReport` on
             :attr:`last_fault_report`.
         hedge / retry:
-            Fault-mode policies (ignored without an active plan);
-            ``None`` picks defaults (hedging off, retry seeded from the
-            plan).
+            Fault-mode policies; ``None`` picks defaults (hedging off,
+            retry seeded from the plan).  The empty plan never hedges.
         monitor:
             Optional :class:`~repro.monitor.Monitor`.  Attached to the
             replay's simulation before the event loop starts (the
@@ -501,84 +394,20 @@ class QuoteServer:
             raise ValidationError("request trace must be non-empty")
         trace = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
         for req in trace:
-            self._check_request(req)
-
-        # One timing rig per replay: fresh host/card resources on a fresh
-        # clock, busy windows priced by the session backend's cost model
-        # (already calibrated at construction).
-        rig = self.engine.session.timing_rig(
-            self.engine.scenario,
-            self.engine.yield_curve,
-            self.engine.hazard_curve,
-            n_cards=self.n_cards,
-            link=self.link,
-            cost_model=self.cost_model,
-        )
+            check_request(req, self.tape.n_scenarios, self.n_positions)
         self.last_fault_report = None
-        if faults is not None and not faults.is_empty:
-            return self._serve_faulted(
-                trace, rig, faults, hedge=hedge, retry=retry, monitor=monitor
-            )
-        sim = rig.sim
-        coalescer = MicroBatchCoalescer(self.queue)
-        in_flight = CompletionTracker()
-        responses: list[PricingResponse] = []
-        queue_sheds: list[ShedRecord] = []
-        # One registry per replay: the run's tallies are named metrics,
-        # not loose integers, so the roll-up below and the telemetry
-        # publish read the same counters.
-        metrics = MetricsRegistry()
-        n_batches = metrics.counter(
-            "serving_batches_total", "micro-batches dispatched"
-        )
-        batch_requests = metrics.counter(
-            "serving_batch_requests_total", "requests carried by batches"
-        )
-        batch_rows = metrics.counter(
-            "serving_batch_rows_total", "deduplicated market rows batched"
-        )
-        shed_queue = metrics.counter(
-            "serving_requests_shed_queue_total", "arrivals shed on backpressure"
-        )
-        card_tallies = CardTallies(metrics)
-        recorder = self.telemetry.recorder
+        lane = Lane(self, faults, hedge=hedge, retry=retry)
+        sim = lane.rig.sim
         if monitor is not None:
-            monitor.attach(sim, metrics, n_cards=self.n_cards)
-
-        def run(batches: list[MicroBatch]) -> None:
-            for batch in batches:
-                done = self._run_batch(batch, rig, card_tallies)
-                responses.extend(done)
-                for resp in done:
-                    in_flight.push(resp.completion_s)
-                n_batches.inc()
-                batch_requests.inc(batch.n_requests)
-                batch_rows.inc(len(batch.rows))
+            monitor.attach(
+                sim, lane.metrics, n_cards=self.n_cards, health=lane.health
+            )
 
         def on_arrival(req: PricingRequest) -> None:
             now = req.arrival_s
-            run(coalescer.advance(now))
-            # Drain *after* the linger sweep: batches it dispatched may
-            # already have completed by this arrival, and counting them
-            # as in-flight would shed requests from an idle server.
-            in_flight.drain(now)
-            # Expired pending requests can never be priced; reap them so
-            # dead work does not trip the admission bound below.
-            coalescer.reap(now)
-            # Outstanding work = requests still pending in the coalescer
-            # plus dispatched responses whose completion lies in the
-            # future; the bounded queue sheds on the sum (backpressure).
-            if coalescer.n_pending + len(in_flight) >= self.queue_depth:
-                queue_sheds.append(ShedRecord(req, now, "queue_full"))
-                shed_queue.inc()
-                if recorder.enabled:
-                    recorder.record(
-                        "shed", now, now, track="server", category="request",
-                        trace_id=req.request_id, kind=req.kind,
-                        args={"reason": "queue_full"},
-                    )
-                return
-            run(coalescer.offer(req))
+            lane.tick(now)
+            if lane.admit(req, now):
+                lane.offer(req)
 
         for req in trace:
             sim.schedule_at(
@@ -587,196 +416,202 @@ class QuoteServer:
         sim.run()
         # The trace has ended; remaining linger timers fire past the last
         # arrival, so tail batches keep honest formation times.
-        run(coalescer.flush())
-
-        sheds = sorted(
-            queue_sheds + list(coalescer.sheds), key=lambda s: s.time_s
-        )
-        if recorder.enabled:
-            for shed in coalescer.sheds:
-                recorder.record(
-                    "shed", shed.time_s, shed.time_s, track="server",
-                    category="request", trace_id=shed.request.request_id,
-                    kind=shed.request.kind, args={"reason": shed.reason},
-                )
-
-        result = self._summarise(trace, responses, sheds, rig, metrics)
-        if monitor is not None:
-            monitor.finalize(result, telemetry=self.telemetry)
-        return result
-
-    # ------------------------------------------------------------------
-    def _serve_faulted(
-        self,
-        trace: list[PricingRequest],
-        rig: ClusterTimingRig,
-        faults: "FaultPlan",
-        *,
-        hedge: "HedgePolicy | None",
-        retry: "RetryPolicy | None",
-        monitor=None,
-    ) -> ServingResult:
-        """The fault-mode replay loop (see :mod:`repro.serving.faulted`).
-
-        Mirrors :meth:`serve`'s event loop with three additions: the
-        degradation ladder sheds low-priority kinds while capacity is
-        reduced, requests awaiting retry count toward the admission
-        bound, and a second ``sim.run()`` drains retry events scheduled
-        by tail batches.  Builds the run's :class:`~repro.faults.
-        FaultReport` into :attr:`last_fault_report`.
-        """
-        from repro.faults.report import build_fault_report
-        from repro.serving.faulted import DEGRADE_FRACTIONS, FaultedDispatcher
-
-        sim = rig.sim
-        coalescer = MicroBatchCoalescer(self.queue)
-        in_flight = CompletionTracker()
-        metrics = MetricsRegistry()
-        n_batches = metrics.counter(
-            "serving_batches_total", "micro-batches dispatched"
-        )
-        batch_requests = metrics.counter(
-            "serving_batch_requests_total", "requests carried by batches"
-        )
-        batch_rows = metrics.counter(
-            "serving_batch_rows_total", "deduplicated market rows batched"
-        )
-        shed_queue = metrics.counter(
-            "serving_requests_shed_queue_total", "arrivals shed on backpressure"
-        )
-        recorder = self.telemetry.recorder
-        dispatcher = FaultedDispatcher(
-            self, rig, faults, retry=retry, hedge=hedge,
-            metrics=metrics, in_flight=in_flight,
-        )
-        if monitor is not None:
-            monitor.attach(
-                sim, metrics, n_cards=self.n_cards, health=dispatcher.health
-            )
-        queue_sheds: list[ShedRecord] = []
-
-        def run(batches: list[MicroBatch]) -> None:
-            for batch in batches:
-                dispatcher.run_batch(batch)
-                n_batches.inc()
-                batch_requests.inc(batch.n_requests)
-                batch_rows.inc(len(batch.rows))
-
-        def shed(req: PricingRequest, now: float, reason: ShedReason) -> None:
-            queue_sheds.append(ShedRecord(req, now, reason))
-            if reason is ShedReason.BACKPRESSURE:
-                shed_queue.inc()
-            else:
-                dispatcher.counters.n_shed_degraded += 1
-            if recorder.enabled:
-                recorder.record(
-                    "shed", now, now, track="server", category="request",
-                    trace_id=req.request_id, kind=req.kind,
-                    args={"reason": reason.value},
-                )
-
-        def on_arrival(req: PricingRequest) -> None:
-            now = req.arrival_s
-            run(coalescer.advance(now))
-            in_flight.drain(now)
-            coalescer.reap(now)
-            # Outstanding work now includes requests parked for retry:
-            # they are in neither the coalescer nor the in-flight window,
-            # but they hold real capacity.
-            outstanding = (
-                coalescer.n_pending + len(in_flight) + dispatcher.n_outstanding
-            )
-            if outstanding >= self.queue_depth:
-                shed(req, now, ShedReason.BACKPRESSURE)
-                return
-            # Degradation ladder: while capacity is reduced, shed the
-            # low-priority tiers at a fraction of the admission bound —
-            # var refreshes go first, quotes keep the full queue.
-            if dispatcher.health.capacity_reduced(now):
-                frac = DEGRADE_FRACTIONS[req.kind]
-                if frac < 1.0 and outstanding >= frac * self.queue_depth:
-                    shed(req, now, ShedReason.DEGRADED)
-                    return
-            run(coalescer.offer(req))
-
-        for req in trace:
-            sim.schedule_at(
-                req.arrival_s, on_arrival, payload=req, label="arrival"
-            )
-        sim.run()
-        run(coalescer.flush())
+        lane.flush()
         # Tail batches may have scheduled retries past the last arrival.
         sim.run()
+        result = lane.summarise()
+        self.last_fault_report = lane.fault_report
+        if monitor is not None:
+            monitor.finalize(result, plan=lane.plan, telemetry=self.telemetry)
+        return result
 
-        responses = dispatcher.responses
-        fails = sorted(dispatcher.fails, key=lambda f: f.time_s)
-        sheds = sorted(
-            queue_sheds + list(coalescer.sheds), key=lambda s: s.time_s
+
+class Lane:
+    """One server's per-replay state: admit → coalesce → dispatch.
+
+    The single serving loop.  :meth:`QuoteServer.serve` drives one lane
+    on a fresh clock; :class:`~repro.gateway.Gateway` drives one per
+    replica on its shared clock.  The lane owns the replay's timing rig
+    (from the pricing session's ``timing_rig`` hook), coalescer,
+    in-flight tracker, metrics registry and outcome lists, plus exactly
+    one :class:`~repro.serving.dispatch.Dispatcher`.  "No faults" is the
+    empty :class:`~repro.faults.FaultPlan`, not a separate path.
+
+    Parameters
+    ----------
+    server:
+        The :class:`QuoteServer` whose configuration, numerics and
+        telemetry the lane uses.
+    faults:
+        The lane's fault plan (``None``: the empty plan).
+    hedge / retry:
+        Dispatcher policies (see :meth:`QuoteServer.serve`).
+    sim:
+        Share an existing :class:`~repro.sim.Simulation` (default: a
+        fresh clock).
+    """
+
+    def __init__(
+        self,
+        server: QuoteServer,
+        faults: FaultPlan | None = None,
+        *,
+        hedge: HedgePolicy | None = None,
+        retry: RetryPolicy | None = None,
+        sim: Simulation | None = None,
+    ) -> None:
+        self.server = server
+        self.plan = faults if faults is not None else FaultPlan()
+        engine = server.engine
+        # One timing rig per replay: fresh host/card resources, busy
+        # windows priced by the server's (already calibrated) cost model.
+        self.rig = engine.session.timing_rig(
+            engine.scenario,
+            engine.yield_curve,
+            engine.hazard_curve,
+            n_cards=server.n_cards,
+            link=server.link,
+            cost_model=server.cost_model,
+            sim=sim,
         )
+        self.coalescer = MicroBatchCoalescer(server.queue)
+        self.in_flight = CompletionTracker()
+        # One registry per replay: the run's tallies are named metrics,
+        # not loose integers, so the roll-up and the telemetry publish
+        # read the same counters.
+        self.metrics = MetricsRegistry()
+        self._n_batches = self.metrics.counter(
+            "serving_batches_total", "micro-batches dispatched"
+        )
+        self._batch_requests = self.metrics.counter(
+            "serving_batch_requests_total", "requests carried by batches"
+        )
+        self._batch_rows = self.metrics.counter(
+            "serving_batch_rows_total", "deduplicated market rows batched"
+        )
+        self._shed_queue = self.metrics.counter(
+            "serving_requests_shed_queue_total", "arrivals shed on backpressure"
+        )
+        self.dispatcher = Dispatcher(
+            server, self.rig, self.plan, retry=retry, hedge=hedge,
+            metrics=self.metrics, in_flight=self.in_flight,
+        )
+        #: The plan's projection onto the lane's cards.
+        self.health: ClusterHealth = self.dispatcher.health
+        #: Responses finalised so far, in completion-record order.
+        self.responses: list[PricingResponse] = self.dispatcher.responses
+        #: Requests failed so far after exhausting their retries.
+        self.fails: list[FailRecord] = self.dispatcher.fails
+        self._recorder = server.telemetry.recorder
+        #: Requests offered to the lane, in arrival order.
+        self.trace: list[PricingRequest] = []
+        #: Arrivals shed at admission (backpressure or degradation).
+        self.queue_sheds: list[ShedRecord] = []
+        #: Resilience summary, set by :meth:`summarise` for a non-empty
+        #: plan (``None`` otherwise).
+        self.fault_report: FaultReport | None = None
+
+    # ------------------------------------------------------------------
+    def _run(self, batches: list[MicroBatch]) -> None:
+        for batch in batches:
+            self.dispatcher.run_batch(batch)
+            self._n_batches.inc()
+            self._batch_requests.inc(batch.n_requests)
+            self._batch_rows.inc(len(batch.rows))
+
+    def tick(self, now: float) -> None:
+        """Per-arrival housekeeping at instant ``now``.
+
+        Fires due linger timers, then drains the in-flight window —
+        *after* the linger sweep, since batches it dispatched may already
+        have completed, and counting them as in-flight would shed
+        requests from an idle server — then reaps expired pending
+        requests, which can never be priced, so dead work does not trip
+        the admission bound.
+        """
+        self._run(self.coalescer.advance(now))
+        self.in_flight.drain(now)
+        self.coalescer.reap(now)
+
+    def admit(self, req: PricingRequest, now: float) -> bool:
+        """Admission control; sheds ``req`` and returns ``False`` on refusal.
+
+        Outstanding work is the requests still pending in the coalescer,
+        dispatched responses whose completion lies in the future, and
+        requests parked for a retry.  The bounded queue sheds on the sum
+        (backpressure).  While capacity is reduced the degradation
+        ladder sheds the low-priority tiers at a fraction of the bound —
+        var refreshes go first, quotes keep the full queue.
+        """
+        self.trace.append(req)
+        depth = self.server.queue_depth
+        outstanding = (
+            self.coalescer.n_pending
+            + len(self.in_flight)
+            + self.dispatcher.n_outstanding
+        )
+        if outstanding >= depth:
+            self.shed(req, now, ShedReason.BACKPRESSURE)
+            return False
+        if self.health.capacity_reduced(now):
+            frac = DEGRADE_FRACTIONS[req.kind]
+            if frac < 1.0 and outstanding >= frac * depth:
+                self.shed(req, now, ShedReason.DEGRADED)
+                return False
+        return True
+
+    def offer(self, req: PricingRequest) -> None:
+        """Hand an admitted request to the coalescer."""
+        self._run(self.coalescer.offer(req))
+
+    def flush(self) -> None:
+        """Dispatch everything still pending (the trace has ended)."""
+        self._run(self.coalescer.flush())
+
+    def shed(self, req: PricingRequest, now: float, reason: ShedReason) -> None:
+        """Record an admission-time shed."""
+        self.queue_sheds.append(ShedRecord(req, now, reason))
+        if reason is ShedReason.BACKPRESSURE:
+            self._shed_queue.inc()
+        else:
+            self.dispatcher.counters.n_shed_degraded += 1
+        if self._recorder.enabled:
+            self._recorder.record(
+                "shed", now, now, track="server", category="request",
+                trace_id=req.request_id, kind=req.kind,
+                args={"reason": reason.value},
+            )
+
+    # ------------------------------------------------------------------
+    def summarise(self) -> ServingResult:
+        """Roll the finished replay up and publish it to the telemetry.
+
+        Fault counters join the run's metrics, and :attr:`fault_report`
+        is built, only for a non-empty plan.  A lane that was offered
+        nothing (a gateway replica the ring never picked) reports zeros
+        and publishes nothing.
+        """
+        recorder = self._recorder
         if recorder.enabled:
-            for rec in coalescer.sheds:
+            for rec in self.coalescer.sheds:
                 recorder.record(
                     "shed", rec.time_s, rec.time_s, track="server",
                     category="request", trace_id=rec.request.request_id,
-                    kind=rec.request.kind, args={"reason": str(rec.reason)},
+                    kind=rec.request.kind, args={"reason": rec.reason.value},
                 )
-
-        counters = dispatcher.counters
-        counters.n_breaker_trips = dispatcher.breakers.n_trips
-        counters.n_breaker_probes = dispatcher.breakers.n_probes
-        metrics.counter(
-            "serving_retries_total", "failed dispatches re-dispatched"
-        ).inc(counters.n_retries)
-        metrics.counter(
-            "serving_hedges_total", "duplicate straggler dispatches"
-        ).inc(counters.n_hedges)
-        metrics.counter(
-            "serving_breaker_trips_total", "circuit-breaker open transitions"
-        ).inc(counters.n_breaker_trips)
-        metrics.counter(
-            "serving_requests_failed_total", "requests failed after retries"
-        ).inc(counters.n_failed_requests)
-        metrics.counter(
-            "serving_requests_shed_degraded_total",
-            "arrivals shed by the degradation ladder",
-        ).inc(counters.n_shed_degraded)
-
-        result = self._summarise(
-            trace, responses, sheds, rig, metrics,
-            n_failed=len(fails), fails=fails,
+        if not self.plan.is_empty:
+            self._publish_fault_counters()
+        if not self.trace:
+            return self._empty_result()
+        trace, responses, metrics = self.trace, self.responses, self.metrics
+        sheds = sorted(
+            self.queue_sheds + list(self.coalescer.sheds),
+            key=lambda s: s.time_s,
         )
-        # Phase boundaries live on the sim clock (t=0), so the report
-        # span is the last completion instant, not the arrival-relative
-        # span_seconds — otherwise the tail completions fall outside
-        # every phase.
-        span = max((r.completion_s for r in responses), default=0.0)
-        self.last_fault_report = build_fault_report(
-            faults,
-            dispatcher.health,
-            [(r.completion_s, r.latency_s) for r in responses],
-            counters,
-            span_s=span,
-        )
-        if monitor is not None:
-            monitor.finalize(result, plan=faults, telemetry=self.telemetry)
-        return result
-
-    def _summarise(
-        self,
-        trace: list[PricingRequest],
-        responses: list[PricingResponse],
-        sheds: list[ShedRecord],
-        rig: ClusterTimingRig,
-        metrics: MetricsRegistry,
-        n_failed: int = 0,
-        fails: list = (),
-    ) -> ServingResult:
+        fails = sorted(self.fails, key=lambda f: f.time_s)
         n_offered = len(trace)
         n_completed = len(responses)
         met = sum(1 for r in responses if r.met_deadline)
-        shed_queue = int(
-            metrics.counter("serving_requests_shed_queue_total").value
-        )
         shed_deadline = sum(
             1 for s in sheds if s.reason is ShedReason.DEADLINE
         )
@@ -806,15 +641,15 @@ class QuoteServer:
                 busy_seconds=resource.busy_seconds,
                 utilisation=resource.utilisation(span),
             )
-            for card_id, resource in enumerate(rig.cards)
+            for card_id, resource in enumerate(self.rig.cards)
         )
-        n_batches = int(metrics.counter("serving_batches_total").value)
-        batch_requests = metrics.counter("serving_batch_requests_total").value
-        batch_rows = metrics.counter("serving_batch_rows_total").value
+        n_batches = int(self._n_batches.value)
+        batch_requests = self._batch_requests.value
+        batch_rows = self._batch_rows.value
         result = ServingResult(
             n_offered=n_offered,
             n_completed=n_completed,
-            n_shed_queue=shed_queue,
+            n_shed_queue=int(self._shed_queue.value),
             n_shed_deadline=shed_deadline,
             n_deadline_met=met,
             n_late=n_completed - met,
@@ -830,28 +665,71 @@ class QuoteServer:
             cards=card_loads,
             responses=tuple(responses),
             sheds=tuple(sheds),
-            n_failed=n_failed,
+            n_failed=len(fails),
             fails=tuple(fails),
         )
-        self._publish(result, metrics, rig)
+        self._publish(result)
+        if not self.plan.is_empty:
+            # Phase boundaries live on the sim clock (t=0), so the report
+            # span is the last completion instant, not the
+            # arrival-relative span_seconds — otherwise the tail
+            # completions fall outside every phase.
+            self.fault_report = build_fault_report(
+                self.plan,
+                self.health,
+                [(r.completion_s, r.latency_s) for r in responses],
+                self.dispatcher.counters,
+                span_s=max((r.completion_s for r in responses), default=0.0),
+            )
         return result
 
-    def _publish(
-        self,
-        result: ServingResult,
-        metrics: MetricsRegistry,
-        rig: ClusterTimingRig,
-    ) -> None:
+    def _publish_fault_counters(self) -> None:
+        counters = self.dispatcher.counters
+        counters.n_breaker_trips = self.dispatcher.breakers.n_trips
+        counters.n_breaker_probes = self.dispatcher.breakers.n_probes
+        for name, help_text, value in (
+            ("serving_retries_total", "failed dispatches re-dispatched",
+             counters.n_retries),
+            ("serving_hedges_total", "duplicate straggler dispatches",
+             counters.n_hedges),
+            ("serving_breaker_trips_total",
+             "circuit-breaker open transitions", counters.n_breaker_trips),
+            ("serving_requests_failed_total", "requests failed after retries",
+             counters.n_failed_requests),
+            ("serving_requests_shed_degraded_total",
+             "arrivals shed by the degradation ladder",
+             counters.n_shed_degraded),
+        ):
+            self.metrics.counter(name, help_text).inc(value)
+
+    def _empty_result(self) -> ServingResult:
+        return ServingResult(
+            n_offered=0, n_completed=0, n_shed_queue=0, n_shed_deadline=0,
+            n_deadline_met=0, n_late=0, span_seconds=0.0, throughput_rps=0.0,
+            goodput_rps=0.0, shed_rate=0.0, deadline_hit_rate=0.0,
+            latency=LatencyStats.from_latencies(np.asarray([])),
+            n_dispatches=0, mean_batch_requests=0.0, mean_batch_rows=0.0,
+            cards=tuple(
+                CardLoad(
+                    card_id=c, dispatches=0, n_rows=0, n_cells=0,
+                    busy_seconds=0.0, utilisation=0.0,
+                )
+                for c in range(self.server.n_cards)
+            ),
+        )
+
+    def _publish(self, result: ServingResult) -> None:
         """Fold a replay's tallies into the server's telemetry handle.
 
         Skipped for the shared no-op handle so un-instrumented runs
         leave no global state behind.  Counters add across replays;
         gauges describe the latest one.
         """
-        if self.telemetry is NULL_TELEMETRY:
+        telemetry = self.server.telemetry
+        if telemetry is NULL_TELEMETRY:
             return
-        out = self.telemetry.metrics
-        out.absorb(metrics)
+        out = telemetry.metrics
+        out.absorb(self.metrics)
         out.counter(
             "serving_requests_offered_total", "requests offered to the server"
         ).inc(result.n_offered)
@@ -881,8 +759,8 @@ class QuoteServer:
         )
         out.gauge(
             "serving_host_busy_seconds", "simulated host-thread busy time"
-        ).set(rig.host.busy_seconds)
-        for card_id, resource in enumerate(rig.cards):
+        ).set(self.rig.host.busy_seconds)
+        for card_id, resource in enumerate(self.rig.cards):
             out.gauge(
                 "serving_card_busy_seconds",
                 "simulated card busy time",

@@ -33,6 +33,7 @@ __all__ = [
     "PricingResponse",
     "ShedRecord",
     "FailRecord",
+    "check_request",
 ]
 
 #: The three request families the server prices.
@@ -271,3 +272,21 @@ class FailRecord:
             raise ValidationError(
                 f"attempts must be >= 1, got {self.attempts}"
             )
+
+
+def check_request(req: PricingRequest, n_states: int, n_positions: int) -> None:
+    """Reject a request that references rows or options nobody serves.
+
+    ``n_states`` is the market tape's row count and ``n_positions`` the
+    book size.
+    """
+    if any(r >= n_states for r in req.rows):
+        raise ValidationError(
+            f"request {req.request_id} references market row beyond the "
+            f"{n_states}-state tape"
+        )
+    if req.option_index is not None and req.option_index >= n_positions:
+        raise ValidationError(
+            f"request {req.request_id} quotes option {req.option_index} "
+            f"beyond the {n_positions}-position book"
+        )

@@ -2,13 +2,10 @@
 
 import pytest
 
-from repro.cluster import BatchQueue, CDSCluster, simulate_batched_stream
+from repro.cluster import BatchQueue
 from repro.core.types import CDSOption
 from repro.errors import ValidationError
 from repro.workloads.cluster import Arrival, make_burst_arrivals
-from repro.workloads.scenarios import PaperScenario
-
-SC = PaperScenario(n_rates=64, n_options=8)
 
 
 def opt(maturity=5.0):
@@ -59,25 +56,3 @@ class TestArrival:
             Arrival(-1.0, [opt()])
         with pytest.raises(ValidationError):
             Arrival(0.0, [])
-
-
-class TestSimulateBatchedStream:
-    def test_report_sanity(self):
-        cluster = CDSCluster(SC, n_cards=2, n_engines=2)
-        arrivals = make_burst_arrivals(4, mean_batch=5, seed=17)
-        report = simulate_batched_stream(
-            cluster, arrivals, BatchQueue(max_batch=8, linger_s=5e-4)
-        )
-        assert report.n_requests == sum(a.n_options for a in arrivals)
-        assert report.n_batches >= 1
-        assert report.mean_batch_size == pytest.approx(
-            report.n_requests / report.n_batches
-        )
-        assert 0.0 < report.p50_latency_s <= report.p99_latency_s
-        assert report.p99_latency_s <= report.max_latency_s
-        assert report.options_per_second > 0
-        assert "requests" in report.summary()
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ValidationError):
-            simulate_batched_stream(CDSCluster(SC, n_cards=1, n_engines=1), [])

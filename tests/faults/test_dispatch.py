@@ -12,8 +12,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cluster.batching import BatchQueue
 from repro.faults import FaultPlan, HedgePolicy, RetryPolicy
+from repro.risk.engine import make_book
+from repro.serving import QuoteServer
 from repro.serving.request import ShedReason
+from repro.telemetry import Telemetry
+
+from .conftest import N_POSITIONS
+
+#: Request-phase spans in pipeline order.
+PHASES = ("coalesce", "host_link", "card_queue", "card_service")
 
 #: Crash under a straggler: service windows on card 1 stretch 80x from
 #: 5 ms so the crash at 30 ms lands mid-window — retries guaranteed.
@@ -24,6 +33,20 @@ def conserve(result) -> bool:
     return result.n_offered == result.n_completed + result.n_shed + result.n_failed
 
 
+def recording_server(fault_scenario, tape) -> QuoteServer:
+    """The ``server`` fixture's configuration with a recording handle."""
+    return QuoteServer(
+        make_book("heterogeneous", N_POSITIONS, seed=5),
+        tape,
+        scenario=fault_scenario,
+        n_cards=2,
+        n_engines=2,
+        queue=BatchQueue(max_batch=16, linger_s=1e-3),
+        queue_depth=256,
+        telemetry=Telemetry.recording(),
+    )
+
+
 class TestZeroFaultIdentity:
     def test_none_and_empty_plan_identical_to_legacy(self, server, stream):
         legacy = server.serve(stream)
@@ -32,6 +55,28 @@ class TestZeroFaultIdentity:
         assert server.last_fault_report is None
         assert empty == legacy
         assert empty.n_failed == 0 and empty.fails == ()
+
+    def test_empty_plan_same_spans_and_metrics(
+        self, fault_scenario, tape, stream
+    ):
+        """``faults=None`` and ``faults=FaultPlan()`` are one code path:
+        equal results, the same recorded span sequence and the same
+        metrics snapshot (no fault counters published for either)."""
+        bare = recording_server(fault_scenario, tape)
+        empty = recording_server(fault_scenario, tape)
+        result = bare.serve(stream)
+        assert empty.serve(stream, faults=FaultPlan()) == result
+        assert empty.last_fault_report is None
+        assert empty.telemetry.spans == bare.telemetry.spans
+        assert any(s.name == "card_service" for s in bare.telemetry.spans)
+        snapshot = bare.telemetry.metrics.snapshot()
+        assert empty.telemetry.metrics.snapshot() == snapshot
+        assert not any(
+            key.startswith(("serving_retries", "serving_hedges",
+                            "serving_breaker", "serving_requests_failed",
+                            "serving_requests_shed_degraded"))
+            for key in snapshot
+        )
 
 
 class TestConservation:
@@ -132,15 +177,66 @@ class TestHedging:
         assert server.last_fault_report.counters.n_hedges == 0
 
 
+class TestFaultPhaseSpans:
+    """Under faults every completed request still gets its four phase
+    spans, taken from the attempt that succeeded, so they tile
+    ``[arrival, completion]`` after a retry or a hedge."""
+
+    @pytest.mark.parametrize(
+        "spec, hedge",
+        [(OVERLAP, None),
+         ("slow:card=1,at=0.01,for=0.25,factor=6", HedgePolicy(enabled=True))],
+        ids=["crash-retries", "straggler-hedged"],
+    )
+    def test_phases_tile_latency(self, fault_scenario, tape, stream, spec, hedge):
+        srv = recording_server(fault_scenario, tape)
+        res = srv.serve(
+            stream, faults=FaultPlan.from_spec(spec, seed=7), hedge=hedge
+        )
+        counters = srv.last_fault_report.counters
+        if hedge is None:
+            assert counters.n_retries > 0
+        else:
+            assert counters.n_hedge_wins > 0
+        assert res.n_completed > 0
+        recorder = srv.telemetry.recorder
+        # The phases come from the winning attempt: its host dispatch
+        # and card window are real resource busy windows.
+        windows = {
+            (s.track, s.start_s, s.end_s)
+            for s in srv.telemetry.spans if s.category == "resource"
+        }
+        host_ends = {end for track, _, end in windows if track == "host"}
+        for resp in res.responses:
+            spans = recorder.for_trace(resp.request_id)
+            assert tuple(s.name for s in spans) == PHASES
+            assert spans[0].start_s == resp.arrival_s
+            assert spans[-1].end_s == resp.completion_s
+            for left, right in zip(spans, spans[1:]):
+                assert right.start_s == left.end_s
+            assert all(s.duration_s >= 0 for s in spans)
+            assert sum(s.duration_s for s in spans) == pytest.approx(
+                resp.latency_s, abs=1e-12
+            )
+            card = spans[-1].args["card"]
+            assert {s.args["card"] for s in spans[1:]} == {card}
+            assert card in resp.cards
+            assert spans[1].end_s in host_ends
+            assert (
+                f"card{card}", spans[-1].start_s, spans[-1].end_s
+            ) in windows
+        # Failed requests have no phase spans.
+        for rec in res.fails:
+            assert recorder.for_trace(rec.request.request_id) == ()
+
+
 class TestDegradationLadder:
     def test_var_shed_before_quotes_under_capacity_loss(
         self, fault_scenario, tape
     ):
         """With a card down and the queue backing up, the ladder sheds
         low-tier work (var, then reval) while quotes keep flowing."""
-        from repro.cluster.batching import BatchQueue
-        from repro.risk.engine import make_book
-        from repro.serving import QuoteServer, make_request_stream
+        from repro.serving import make_request_stream
 
         srv = QuoteServer(
             make_book("heterogeneous", 12, seed=5),

@@ -137,6 +137,21 @@ class TestCache:
         with pytest.raises(ValidationError):
             gateway.serve(stream, ticks=[(0.0, N_STATES)])
 
+    @pytest.mark.parametrize("cache", [True, False], ids=["cache-on", "cache-off"])
+    @pytest.mark.parametrize(
+        "tick",
+        [(0.001, 10**6), (0.001, N_STATES), (0.001, -1), (-5.0, 3),
+         (float("nan"), 3), (float("inf"), 3)],
+        ids=["row-far", "row-past-end", "row-negative", "time-negative",
+             "time-nan", "time-inf"],
+    )
+    def test_bad_tick_rejected_in_both_cache_modes(
+        self, book, tape, gateway_scenario, stream, cache, tick
+    ):
+        gw = small_gateway(book, tape, gateway_scenario, cache=cache)
+        with pytest.raises(ValidationError, match="tick"):
+            gw.serve(stream, ticks=[(0.0005, 1), tick])
+
 
 class TestIdentityPin:
     """1 server + passthrough tenant + cache off == plain QuoteServer."""
@@ -229,3 +244,27 @@ class TestFaults:
         # clean lane is untouched by the plan
         clean = gw.serve(stream)
         assert res.servers[0].n_offered == clean.servers[0].n_offered
+
+    def test_faulted_and_clean_lane_each_conserve(
+        self, book, tape, gateway_scenario, stream
+    ):
+        """Lane 0 loses both cards for good mid-trace (fails, backpressure
+        and degraded sheds); lane 1 runs the empty plan.  Each lane
+        finalises every request it was offered exactly once."""
+        from repro.faults import FaultPlan
+
+        plan = FaultPlan.from_spec("correlated:cards=0+1,at=0.008", seed=7)
+        gw = small_gateway(
+            book, tape, gateway_scenario, cache=False, queue_depth=24
+        )
+        res = gw.serve(stream, faults=plan, fault_server=0)
+        faulted, clean = res.servers
+        for lane in (faulted, clean):
+            assert lane.n_offered > 0
+            assert (
+                lane.n_offered
+                == lane.n_completed + lane.n_shed + lane.n_failed
+            )
+        assert faulted.n_failed > 0 and faulted.n_shed > 0
+        assert clean.n_failed == 0
+        assert res.n_offered == res.n_completed + res.n_shed + res.n_failed
