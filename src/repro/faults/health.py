@@ -10,7 +10,9 @@ failure-aware layers ask:
   committing them, so a dispatch that would die mid-flight is detected
   and charged as wasted work up to the crash instant);
 * *how much slower is this card right now?* — :meth:`service_factor`
-  integrates straggler windows over a busy interval;
+  integrates straggler windows over a busy interval, and
+  :meth:`nominal_until` says how long the card keeps its nominal speed
+  (the boundary the risk grid's closed-form runs stop at);
 * *how stretched is the host link?* — :meth:`link_factor` /
   :meth:`link_blocked_until`;
 * *is the cluster degraded at all?* — :meth:`capacity_reduced`, the
@@ -113,6 +115,27 @@ class ClusterHealth:
 
     # ------------------------------------------------------------------
     # Straggler inflation
+    def nominal_until(self, card: int, t: float) -> float:
+        """The next fault boundary on ``card`` at or after instant ``t``.
+
+        Nominal-speed work on ``card`` from ``t`` runs unperturbed until
+        the earliest crash instant or straggler-window start; ``t``
+        itself is returned when ``t`` already lies inside an outage or
+        a straggler window, and ``math.inf`` when no window is left.
+        """
+        until = math.inf
+        # Both lists are sorted by start, so the first window still open
+        # at ``t`` is the earliest of its kind.
+        for s, e in self._down[card]:
+            if e > t:
+                until = max(s, t)
+                break
+        for s, e, _ in self._slow[card]:
+            if e > t:
+                until = min(until, max(s, t))
+                break
+        return until
+
     def service_factor(self, card: int, start_s: float, service_s: float) -> float:
         """Effective service inflation for work on ``card`` at ``start_s``.
 

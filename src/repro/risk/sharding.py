@@ -21,10 +21,12 @@ and batching queue compose cleanly:
   by the :class:`~repro.cluster.interconnect.HostLinkModel` contention
   factor, exactly as in a portfolio-sharded batch.
 
-Timing replay runs on the unified :mod:`repro.sim` core — each card is a
-:class:`~repro.sim.Resource` and its scenario chunk one busy-window
-reservation — pinned bit-identical to the pre-``repro.sim`` roll-up by
-the timing-conformance suite.
+Timing replay runs on the unified :mod:`repro.sim` core as one walk for
+every fault plan: each card is a :class:`~repro.sim.Resource` and its
+scenario queue is reserved in closed-form runs between fault
+boundaries.  With no faults that is one busy window per card, pinned
+bit-identical to the pre-``repro.sim`` roll-up by the timing-conformance
+suite.
 
 Numerical results never depend on the sharding — only the simulated
 timing and power roll-up (:class:`ClusterTiming`) do.  Under batched
@@ -36,6 +38,7 @@ module's timing simulation is unchanged by the batching layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.cluster.batching import BatchQueue
@@ -45,11 +48,14 @@ from repro.cluster.node import ClusterNode
 from repro.cluster.scheduler import (
     ClusterScheduler,
     make_scheduler,
+    partition_healthy,
     validate_partition,
 )
 from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.types import CDSOption
 from repro.errors import ValidationError
+from repro.faults.health import ClusterHealth
+from repro.faults.plan import FaultPlan
 from repro.sim import Resource, Simulation
 from repro.workloads.scenarios import PaperScenario
 
@@ -109,11 +115,12 @@ class ClusterTiming:
         One scenario's portfolio batch on one card (kernel + contended
         PCIe) — the uniform cost quantum of the grid.
     makespan_seconds:
-        Slowest card's busy time plus serial host dispatch.
+        End of the last busy window on any card (wasted windows
+        included) plus serial host dispatch.
     scenarios_per_second / repricings_per_second:
-        Aggregate throughput; a "repricing" is one contract under one
-        scenario (the grid cell), the unit comparable to the paper's
-        options/second.
+        Aggregate throughput of the completed scenarios; a "repricing"
+        is one contract under one scenario (the grid cell), the unit
+        comparable to the paper's options/second.
     total_watts / repricings_per_watt:
         Power roll-up across all cards.
     dispatches:
@@ -165,7 +172,9 @@ class FaultedClusterTiming(ClusterTiming):
     n_rescheduled:
         Scenario revaluations moved off a dead card onto survivors.
     n_failed_scenarios:
-        Scenarios that could not be completed anywhere (every card down).
+        Scenarios that could not be completed anywhere: no card was
+        healthy when a crash stranded them, or their card never came
+        back.
     wasted_seconds:
         Card busy time burned on work a crash destroyed.
     """
@@ -226,7 +235,7 @@ def simulate_grid_run(
     link: HostLinkModel | None = None,
     queue: BatchQueue | None = None,
     telemetry=None,
-    faults=None,
+    faults: FaultPlan | None = None,
 ) -> ClusterTiming:
     """Simulate the cluster timing of a sharded scenario-grid run.
 
@@ -235,13 +244,25 @@ def simulate_grid_run(
     batch (same contracts, same table sizes — only the table *values*
     differ, which the timing model is invariant to).
 
-    With a non-empty ``faults`` plan the run is routed through the
-    failure-aware walk instead: a card crash destroys its in-progress
-    scenario (wasted work) and the surviving work is re-partitioned
-    across the healthy cards at the crash instant, straggler windows
-    inflate a card's batch quantum, and the roll-up comes back as a
-    :class:`FaultedClusterTiming`.  ``None`` or an empty plan takes
-    exactly the legacy path (byte-identical roll-up).
+    Each card is a :class:`~repro.sim.Resource` with the plan's outages
+    registered as downtime, and its scenario queue advances in
+    closed-form runs: one ``k * batch_seconds`` reservation covers every
+    scenario that fits before the card's next fault boundary
+    (:meth:`~repro.faults.health.ClusterHealth.nominal_until`).  Only a
+    scenario that meets a boundary is stepped alone: straggler windows
+    stretch it through
+    :meth:`~repro.faults.health.ClusterHealth.service_factor`, and a crash
+    landing inside it burns the window up to the crash instant as wasted
+    work.  Crashes are taken in time order; the scenarios a crash strands
+    are re-partitioned across the cards healthy at the crash instant, and
+    fail when no card is (or when their card never comes back).  An
+    empty plan has no boundary, so each card makes one ``len(chunk) *
+    batch_seconds`` reservation from t=0.
+
+    The makespan is the end of the last busy window, wasted windows
+    included, plus the serial host dispatch time.  The roll-up is a
+    :class:`ClusterTiming` for an empty plan and a
+    :class:`FaultedClusterTiming` otherwise.
 
     Parameters
     ----------
@@ -254,7 +275,8 @@ def simulate_grid_run(
     scenario:
         Experimental configuration shared by every card.
     policy:
-        Scheduling policy name, for the roll-up.
+        Scheduling policy name, for the roll-up and for re-partitioning
+        the work a crash strands.
     n_engines:
         CDS engines per card (floorplan-validated).
     link:
@@ -264,11 +286,14 @@ def simulate_grid_run(
         dispatches (default :class:`BatchQueue`).
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` handle: card busy
-        windows are recorded as spans when it records, and the grid
-        roll-up is published into its registry (``risk_grid_*``
-        metrics).  The roll-up itself is identical either way.
+        windows are recorded as spans when it records
+        (``scenario_shard``, or ``scenario_wasted`` for work a crash
+        destroyed), and the grid roll-up is published into its registry
+        (``risk_grid_*`` metrics).  The roll-up itself is identical
+        either way.
     faults:
-        Optional :class:`~repro.faults.FaultPlan`; see above.
+        Optional :class:`~repro.faults.FaultPlan`; ``None`` is the empty
+        plan.
     """
     if not options:
         raise ValidationError("grid run needs at least one position")
@@ -276,12 +301,12 @@ def simulate_grid_run(
         raise ValidationError("grid run needs at least one card")
     link = link if link is not None else HostLinkModel()
     queue = queue if queue is not None else BatchQueue()
+    plan = faults if faults is not None else FaultPlan()
     recorder = telemetry.recorder if telemetry is not None else None
 
     n_scenarios = sum(len(chunk) for chunk in assignment)
     n_cards = len(assignment)
-    active = sum(1 for chunk in assignment if chunk)
-    factor = link.contention_factor(active)
+    factor = link.contention_factor(sum(1 for chunk in assignment if chunk))
 
     # One representative batch on card 0; all scenarios share its cost.
     node = ClusterNode(0, scenario, n_engines=n_engines)
@@ -289,276 +314,209 @@ def simulate_grid_run(
     kernel = scenario.clock.seconds(result.kernel_cycles)
     batch_seconds = kernel + result.pcie_seconds * factor
 
-    if faults is not None and not faults.is_empty:
-        return _simulate_grid_faulted(
-            assignment, options, node, batch_seconds, link, queue,
-            policy, faults, telemetry,
-        )
-
-    # Unified-clock replay: one sim Resource per card; a card's scenario
-    # chunk occupies a single busy window of ``len(chunk)`` batch quanta
-    # reserved from t=0 (the whole grid is available at run start).
+    # Unified-clock replay: one sim Resource per card, outages registered
+    # as downtime so reservation starts are pushed past them.
+    health = ClusterHealth(plan, n_cards)
     sim = Simulation()
-    shards: list[CardShard] = []
-    busy: list[float] = []
-    dispatches = 0
-    for card_id, chunk in enumerate(assignment):
-        if not chunk:
-            shards.append(
-                CardShard(
-                    card_id=card_id,
-                    n_scenarios=0,
-                    dispatches=0,
-                    seconds=0.0,
-                    utilisation=0.0,
-                    watts=node.idle_watts,
-                )
-            )
-            continue
-        # Scenario revaluation requests for this card coalesce into host
-        # dispatches under the standard size-or-linger rule; all requests
-        # are present at t=0 so only the size cap shapes the chunking.
-        token = options[0]
-        card_dispatches = len(
-            queue.coalesce([Arrival(time_s=0.0, options=[token] * len(chunk))])
-        )
-        resource = Resource(f"card{card_id}", sim=sim, recorder=recorder)
-        window = resource.reserve(
-            0.0,
-            len(chunk) * batch_seconds,
-            span_name="scenario_shard",
-            span_kind="grid",
-            span_args={"scenarios": len(chunk), "dispatches": card_dispatches},
-        )
-        dispatches += card_dispatches
-        busy.append(window.done_s)
-        shards.append(
-            CardShard(
-                card_id=card_id,
-                n_scenarios=len(chunk),
-                dispatches=card_dispatches,
-                seconds=resource.busy_seconds,
-                utilisation=0.0,  # filled once the makespan is known
-                watts=node.active_watts,
-            )
-        )
-
-    makespan = max(busy) + link.dispatch_seconds(dispatches)
-    shards = [
-        CardShard(
-            card_id=s.card_id,
-            n_scenarios=s.n_scenarios,
-            dispatches=s.dispatches,
-            seconds=s.seconds,
-            utilisation=s.seconds / makespan,
-            watts=s.watts,
-        )
-        for s in shards
+    cards = [
+        Resource(f"card{card}", sim=sim, recorder=recorder)
+        for card in range(n_cards)
     ]
-    watts = sum(s.watts for s in shards)
-    repricings = n_scenarios * len(options)
-    if telemetry is not None:
-        out = telemetry.metrics
-        out.counter(
-            "risk_grid_scenarios_total", "scenarios revalued on the grid"
-        ).inc(n_scenarios)
-        out.counter(
-            "risk_grid_dispatches_total", "host dispatches feeding the grid"
-        ).inc(dispatches)
-        out.counter(
-            "risk_grid_repricings_total", "grid cells (scenario x position)"
-        ).inc(repricings)
-        out.gauge(
-            "risk_grid_makespan_seconds", "slowest card plus serial dispatch"
-        ).set(makespan)
-        out.gauge(
-            "risk_grid_batch_seconds", "one scenario's batch cost quantum"
-        ).set(batch_seconds)
-        out.gauge(
-            "risk_grid_repricings_per_watt", "power efficiency of the run"
-        ).set(repricings / makespan / watts)
-    return ClusterTiming(
-        n_scenarios=n_scenarios,
-        n_positions=len(options),
-        n_cards=n_cards,
-        n_active_cards=active,
-        policy=policy,
-        batch_seconds=batch_seconds,
-        makespan_seconds=makespan,
-        scenarios_per_second=n_scenarios / makespan,
-        repricings_per_second=repricings / makespan,
-        total_watts=watts,
-        repricings_per_watt=repricings / makespan / watts,
-        dispatches=dispatches,
-        cards=tuple(shards),
-    )
+    health.apply_downtime(cards)
 
-
-def _simulate_grid_faulted(
-    assignment: list[list[int]],
-    options: list[CDSOption],
-    node: ClusterNode,
-    batch_seconds: float,
-    link: HostLinkModel,
-    queue: BatchQueue,
-    policy: str,
-    faults,
-    telemetry,
-) -> FaultedClusterTiming:
-    """The failure-aware scenario-grid walk behind :func:`simulate_grid_run`.
-
-    Each card walks its queue scenario by scenario on the shared clock:
-    a batch quantum stretches through straggler windows, a crash wastes
-    the in-progress scenario and hands every remaining one back to the
-    scheduler, which re-partitions them across the cards healthy *at the
-    crash instant*.  Scenarios stranded with no healthy card fail (the
-    conservation roll-up: sharded = completed + failed).  The walk is
-    pure arithmetic over the plan — deterministic for a given plan and
-    assignment.
-    """
-    import math
-
-    from repro.faults.health import ClusterHealth
-
-    n_cards = len(assignment)
-    n_sharded = sum(len(chunk) for chunk in assignment)
-    health = ClusterHealth(faults, n_cards)
-    sched = make_scheduler(policy)
-
-    # Per-card work: (available-from, scenario count) segments; counts
+    # Per-card FIFO of [ready_s, scenarios, dispatches] segments; counts
     # are all that matter — scenario cost is uniform.
-    segments: list[list[tuple[float, int]]] = [
-        [(0.0, len(chunk))] if chunk else [] for chunk in assignment
-    ]
-    cursor = [0.0] * n_cards
+    queues: list[list[list]] = [[] for _ in range(n_cards)]
+    dispatches = [0] * n_cards
     completed = [0] * n_cards
-    busy = [0.0] * n_cards
-    done_time = [0.0] * n_cards
-    dispatches_per_card = [0] * n_cards
-    wasted = 0.0
-    n_repartitions = 0
-    n_rescheduled = 0
-    n_failed = 0
     token = options[0]
 
-    def segment_dispatches(count: int) -> int:
-        return len(
+    def enqueue(card: int, ready_s: float, count: int) -> None:
+        # Scenario revaluation requests coalesce into host dispatches
+        # under the standard size-or-linger rule; a segment's requests
+        # are all present at once, so only the size cap shapes it.
+        n_disp = len(
             queue.coalesce([Arrival(time_s=0.0, options=[token] * count)])
         )
+        dispatches[card] += n_disp
+        queues[card].append([ready_s, count, n_disp])
 
-    for card, segs in enumerate(segments):
-        if segs:
-            dispatches_per_card[card] += segment_dispatches(segs[0][1])
+    for card, chunk in enumerate(assignment):
+        if chunk:
+            enqueue(card, 0.0, len(chunk))
+
+    wasted = 0.0
 
     def run_until(card: int, limit: float) -> int:
-        """Walk ``card``'s queue up to ``limit``; returns stranded count."""
+        """Walk ``card``'s queue up to ``limit``; returns the stranded count.
+
+        ``limit`` is the card's next crash instant (``inf`` once every
+        crash is behind it): work that cannot start before it, or would
+        still be running at it, is stranded.
+        """
         nonlocal wasted
-        segs = segments[card]
+        res = cards[card]
+        segs = queues[card]
         while segs:
-            avail, count = segs[0]
-            t = max(cursor[card], avail)
-            for k in range(count):
-                service = batch_seconds * health.service_factor(
-                    card, t, batch_seconds
-                )
-                if t + service > limit:
-                    # The crash lands mid-scenario: burn the partial
-                    # window, strand this scenario and everything after.
-                    if t < limit:
-                        wasted += limit - t
-                        busy[card] += limit - t
-                    stranded = (count - k) + sum(c for _, c in segs[1:])
-                    segs.clear()
-                    cursor[card] = limit
-                    return stranded
-                t += service
-                busy[card] += service
-                completed[card] += 1
-            cursor[card] = t
-            done_time[card] = max(done_time[card], t)
-            segs.pop(0)
-        return 0
-
-    for crash in faults.crashes:
-        stranded = run_until(crash.card, crash.at_s)
-        if stranded:
-            healthy = tuple(
-                c for c in range(n_cards)
-                if not health.card_down(c, crash.at_s)
-            )
-            if not healthy:
-                n_failed += stranded
+            seg = segs[0]
+            ready, count, n_disp = seg
+            start = res.peek_start(ready)
+            if start >= limit:
+                break
+            bound = health.nominal_until(card, start)
+            if bound == math.inf:
+                k = count
             else:
-                n_repartitions += 1
-                n_rescheduled += stranded
-                sub = sched.partition([1.0] * stranded, len(healthy))
-                for slot, chunk in enumerate(sub):
-                    if chunk:
-                        segments[healthy[slot]].append(
-                            (crash.at_s, len(chunk))
-                        )
-                        dispatches_per_card[healthy[slot]] += (
-                            segment_dispatches(len(chunk))
-                        )
-        # The card resumes (with whatever is later re-sharded to it, if
-        # anything) only once repaired.
-        cursor[crash.card] = max(cursor[crash.card], crash.down_until_s)
+                k = min(count, int((bound - start) // batch_seconds))
+                while k and start + k * batch_seconds > bound:
+                    k -= 1
+            if k:
+                service = k * batch_seconds
+            else:
+                # A boundary falls inside the next scenario: step it alone.
+                k = 1
+                service = batch_seconds * health.service_factor(
+                    card, start, batch_seconds
+                )
+                if start + service > limit:
+                    # The crash lands mid-scenario: burn the partial window.
+                    res.reserve(
+                        ready,
+                        limit - start,
+                        span_name="scenario_wasted",
+                        span_kind="grid",
+                        span_args={"scenarios": 0, "dispatches": n_disp},
+                    )
+                    wasted += limit - start
+                    break
+            res.reserve(
+                ready,
+                service,
+                span_name="scenario_shard",
+                span_kind="grid",
+                span_args={"scenarios": k, "dispatches": n_disp},
+            )
+            completed[card] += k
+            # A segment's dispatches are charged to its first window.
+            seg[1:] = [count - k, 0]
+            if not seg[1]:
+                segs.pop(0)
+        stranded = sum(seg[1] for seg in segs)
+        segs.clear()
+        return stranded
 
+    n_repartitions = n_rescheduled = n_failed = 0
+    for crash in plan.crashes:
+        stranded = run_until(crash.card, crash.at_s)
+        if not stranded:
+            continue
+        healthy = health.healthy_cards(crash.at_s)
+        if not healthy:
+            n_failed += stranded
+            continue
+        n_repartitions += 1
+        n_rescheduled += stranded
+        sub = partition_healthy(
+            make_scheduler(policy), [1.0] * stranded, n_cards, healthy
+        )
+        for card, chunk in enumerate(sub):
+            if chunk:
+                enqueue(card, crash.at_s, len(chunk))
     for card in range(n_cards):
-        leftover = run_until(card, math.inf)
-        if leftover:  # permanently down with work still queued
-            n_failed += leftover
+        # Work still queued on a card that never comes back fails.
+        n_failed += run_until(card, math.inf)
 
-    dispatches = sum(dispatches_per_card)
-    makespan = max(done_time) + link.dispatch_seconds(dispatches)
-    n_completed = sum(completed)
+    n_dispatches = sum(dispatches)
+    makespan = max(res.busy_until for res in cards) + link.dispatch_seconds(
+        n_dispatches
+    )
     shards = tuple(
         CardShard(
             card_id=card,
             n_scenarios=completed[card],
-            dispatches=dispatches_per_card[card],
-            seconds=busy[card],
-            utilisation=busy[card] / makespan if makespan > 0 else 0.0,
-            watts=node.active_watts if busy[card] > 0 else node.idle_watts,
+            dispatches=dispatches[card],
+            seconds=res.busy_seconds,
+            utilisation=res.utilisation(makespan),
+            watts=node.active_watts if res.busy_seconds > 0 else node.idle_watts,
         )
-        for card in range(n_cards)
+        for card, res in enumerate(cards)
     )
-    watts = sum(s.watts for s in shards)
+    n_completed = sum(completed)
     repricings = n_completed * len(options)
-    timing = FaultedClusterTiming(
-        n_scenarios=n_sharded,
+    watts = sum(s.watts for s in shards)
+
+    def per_second(count: float) -> float:
+        return count / makespan if makespan > 0 else 0.0
+
+    rollup = dict(
+        n_scenarios=n_scenarios,
         n_positions=len(options),
         n_cards=n_cards,
         n_active_cards=sum(1 for s in shards if s.n_scenarios),
         policy=policy,
         batch_seconds=batch_seconds,
         makespan_seconds=makespan,
-        scenarios_per_second=n_completed / makespan if makespan > 0 else 0.0,
-        repricings_per_second=repricings / makespan if makespan > 0 else 0.0,
+        scenarios_per_second=per_second(n_completed),
+        repricings_per_second=per_second(repricings),
         total_watts=watts,
-        repricings_per_watt=(
-            repricings / makespan / watts if makespan > 0 and watts > 0 else 0.0
-        ),
-        dispatches=dispatches,
+        repricings_per_watt=per_second(repricings) / watts,
+        dispatches=n_dispatches,
         cards=shards,
-        fault_spec=faults.spec(),
-        n_repartitions=n_repartitions,
-        n_rescheduled=n_rescheduled,
-        n_failed_scenarios=n_failed,
-        wasted_seconds=wasted,
     )
+    fault_fields = (
+        dict(
+            fault_spec=plan.spec(),
+            n_repartitions=n_repartitions,
+            n_rescheduled=n_rescheduled,
+            n_failed_scenarios=n_failed,
+            wasted_seconds=wasted,
+        )
+        if plan.events
+        else {}
+    )
+    timing_cls = FaultedClusterTiming if fault_fields else ClusterTiming
+    timing = timing_cls(**rollup, **fault_fields)
     if telemetry is not None:
-        out = telemetry.metrics
-        out.counter(
-            "risk_grid_repartitions_total", "card deaths that re-sharded work"
-        ).inc(n_repartitions)
-        out.counter(
-            "risk_grid_rescheduled_total", "scenarios moved off dead cards"
-        ).inc(n_rescheduled)
-        out.counter(
-            "risk_grid_failed_scenarios_total", "scenarios stranded by faults"
-        ).inc(n_failed)
-        out.gauge(
-            "risk_grid_wasted_seconds", "busy time destroyed by crashes"
-        ).set(wasted)
+        _publish_grid_metrics(telemetry.metrics, timing)
     return timing
+
+
+def _publish_grid_metrics(out, timing: ClusterTiming) -> None:
+    """Publish a grid roll-up as ``risk_grid_*`` metrics.
+
+    Every run publishes the same counters and gauges; a faulted run adds
+    its fault tallies.
+    """
+    completed = sum(s.n_scenarios for s in timing.cards)
+    out.counter(
+        "risk_grid_scenarios_total", "scenarios revalued on the grid"
+    ).inc(completed)
+    out.counter(
+        "risk_grid_dispatches_total", "host dispatches feeding the grid"
+    ).inc(timing.dispatches)
+    out.counter(
+        "risk_grid_repricings_total", "grid cells (scenario x position)"
+    ).inc(completed * timing.n_positions)
+    out.gauge(
+        "risk_grid_makespan_seconds", "slowest card plus serial dispatch"
+    ).set(timing.makespan_seconds)
+    out.gauge(
+        "risk_grid_batch_seconds", "one scenario's batch cost quantum"
+    ).set(timing.batch_seconds)
+    out.gauge(
+        "risk_grid_repricings_per_watt", "power efficiency of the run"
+    ).set(timing.repricings_per_watt)
+    if not isinstance(timing, FaultedClusterTiming):
+        return
+    out.counter(
+        "risk_grid_repartitions_total", "card deaths that re-sharded work"
+    ).inc(timing.n_repartitions)
+    out.counter(
+        "risk_grid_rescheduled_total", "scenarios moved off dead cards"
+    ).inc(timing.n_rescheduled)
+    out.counter(
+        "risk_grid_failed_scenarios_total", "scenarios stranded by faults"
+    ).inc(timing.n_failed_scenarios)
+    out.gauge(
+        "risk_grid_wasted_seconds", "busy time destroyed by crashes"
+    ).set(timing.wasted_seconds)

@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.api import open_session
 from repro.core.pricing import CDSPricer
 from repro.core.types import CDSOption
-from repro.core.vector_pricing import (
-    VectorCDSPricer,
-    portfolio_arrays,
-    price_portfolio,
-)
+from repro.core.vector_pricing import VectorCDSPricer, portfolio_arrays
 from repro.errors import ValidationError
 
 
@@ -70,21 +67,33 @@ class TestVectorPricerAgainstReference:
                 ref.survival_at_maturity, rel=1e-12
             )
 
-    def test_price_portfolio_results(self, yield_curve, hazard_curve, mixed_options):
-        results = VectorCDSPricer(yield_curve, hazard_curve).price_portfolio(
-            mixed_options
+    def test_session_legs_match_pricer(
+        self, yield_curve, hazard_curve, mixed_options
+    ):
+        with open_session("vectorized", mixed_options) as session:
+            result = session.price_state(
+                yield_curve, hazard_curve, want_legs=True
+            )
+        spreads, legs = VectorCDSPricer(
+            yield_curve, hazard_curve
+        ).price_portfolio_detailed(mixed_options)
+        np.testing.assert_array_equal(result.spreads_bps[0], spreads)
+        np.testing.assert_array_equal(
+            result.legs.premium[0], [lb.premium_leg for lb in legs]
         )
-        assert len(results) == len(mixed_options)
-        assert all(r.legs is not None for r in results)
 
-    def test_wrapper(self, yield_curve, hazard_curve, mixed_options):
-        a = price_portfolio(mixed_options, yield_curve, hazard_curve)
+    def test_session_spreads_match_pricer(
+        self, yield_curve, hazard_curve, mixed_options
+    ):
+        with open_session("vectorized", mixed_options) as session:
+            a = session.spreads(yield_curve, hazard_curve)
         b = VectorCDSPricer(yield_curve, hazard_curve).spreads(mixed_options)
-        assert np.array_equal(a, b)
+        np.testing.assert_array_equal(a, b)
 
     def test_order_preserved(self, yield_curve, hazard_curve, mixed_options):
-        fwd = price_portfolio(mixed_options, yield_curve, hazard_curve)
-        rev = price_portfolio(mixed_options[::-1], yield_curve, hazard_curve)
+        pricer = VectorCDSPricer(yield_curve, hazard_curve)
+        fwd = pricer.spreads(mixed_options)
+        rev = pricer.spreads(mixed_options[::-1])
         assert fwd == pytest.approx(rev[::-1])
 
 
@@ -138,29 +147,6 @@ class TestPackedPortfolio:
         bad_accruals[~mask] = 0.25
         with pytest.raises(ValidationError):
             PackedPortfolio(times, bad_accruals, mask, recovery)
-
-
-class TestPricePackedBook:
-    def test_matches_price_packed(self, yield_curve, hazard_curve, mixed_options):
-        from repro.core.vector_pricing import (
-            PackedPortfolio,
-            price_packed,
-            price_packed_book,
-        )
-
-        packed = PackedPortfolio.pack(mixed_options)
-        sp_a, legs_a = price_packed(
-            packed.times,
-            packed.accruals,
-            packed.mask,
-            packed.recovery,
-            yield_curve,
-            hazard_curve,
-        )
-        sp_b, legs_b = price_packed_book(packed, yield_curve, hazard_curve)
-        np.testing.assert_array_equal(sp_a, sp_b)
-        for a, b in zip(legs_a, legs_b):
-            np.testing.assert_array_equal(a, b)
 
 
 class TestPricePackedMany:

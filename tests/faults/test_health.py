@@ -81,6 +81,36 @@ class TestServiceFactor:
         assert h.service_factor(0, 0.0, 0.0) == 1.0
 
 
+class TestNominalUntil:
+    def test_empty_plan_has_no_boundary(self):
+        assert math.isinf(ClusterHealth(FaultPlan(), 2).nominal_until(0, 0.0))
+
+    def test_next_crash_or_straggler_start(self):
+        h = health(
+            "crash:card=1,at=0.5,repair=0.1;slow:card=1,at=0.3,for=0.1,factor=2"
+        )
+        assert h.nominal_until(1, 0.0) == 0.3
+        assert h.nominal_until(1, 0.35) == 0.35  # inside the slow window
+        assert h.nominal_until(1, 0.4) == 0.5
+        assert math.isinf(h.nominal_until(1, 0.6))  # every window is past
+        assert math.isinf(h.nominal_until(0, 0.0))  # other cards unaffected
+
+    def test_permanent_crash_is_a_boundary_forever(self):
+        h = health("crash:card=0,at=0.2")
+        assert h.nominal_until(0, 0.1) == 0.2
+        assert h.nominal_until(0, 0.2) == 0.2
+        assert h.nominal_until(0, 7.0) == 7.0  # never repaired
+
+    def test_repaired_outage_then_straggler(self):
+        h = health(
+            "crash:card=2,at=0.1,repair=0.05;slow:card=2,at=0.3,for=0.1,factor=2"
+        )
+        assert h.nominal_until(2, 0.0) == 0.1
+        assert h.nominal_until(2, 0.12) == 0.12  # inside the outage
+        assert h.nominal_until(2, 0.2) == 0.3  # repaired, before the window
+        assert math.isinf(h.nominal_until(2, 0.4))  # slow window is half-open
+
+
 class TestLink:
     def test_link_factor_window(self):
         h = health("link:at=0.1,for=0.1,factor=2.5")

@@ -5,7 +5,8 @@ Two load-bearing invariants across schedulers × fault plans:
 * **Conservation** — every admitted unit of work finalises exactly once:
   serving pins ``offered == completed + shed + failed`` and the risk
   grid pins ``scenarios == completed + failed``, no matter how often the
-  rows or chunks were re-dispatched.
+  rows or chunks were re-dispatched.  The grid also keeps every card's
+  busy windows disjoint and its utilisation within ``[0, 1]``.
 * **Zero-fault identity** — ``faults=None`` and an empty plan take the
   legacy code path byte-for-byte, so resilience machinery costs nothing
   when it is not in play.
@@ -13,10 +14,14 @@ Two load-bearing invariants across schedulers × fault plans:
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.batching import BatchQueue
-from repro.faults import FaultPlan
+from repro.faults import CardCrash, CardSlowdown, FaultPlan
 from repro.risk.engine import make_book
 from repro.risk.sharding import (
     FaultedClusterTiming,
@@ -24,6 +29,7 @@ from repro.risk.sharding import (
     simulate_grid_run,
 )
 from repro.serving import QuoteServer, make_market_tape, make_request_stream
+from repro.telemetry import Telemetry
 from repro.workloads.scenarios import PaperScenario
 
 N_POSITIONS = 10
@@ -49,6 +55,26 @@ GRID_PLANS = [
     "slow:card=0,at=0.0,for=0.002,factor=4",
     "correlated:cards=1+2,at=0.0004,repair=0.0006",
 ]
+
+#: Hypothesis-drawn grid faults on the same timescale: crashes (some
+#: permanent) and straggler windows over a ~1.4 ms fault-free makespan.
+_instant = st.floats(min_value=0.0, max_value=0.0016)
+_span = st.floats(min_value=1e-5, max_value=0.002)
+grid_event = st.one_of(
+    st.builds(
+        CardCrash,
+        card=st.integers(0, 3),
+        at_s=_instant,
+        repair_s=st.one_of(st.none(), _span),
+    ),
+    st.builds(
+        CardSlowdown,
+        card=st.integers(0, 3),
+        at_s=_instant,
+        duration_s=_span,
+        factor=st.floats(min_value=1.5, max_value=8.0),
+    ),
+)
 
 
 @pytest.fixture(scope="module")
@@ -121,30 +147,61 @@ class TestServingConservation:
         assert srv.last_fault_report is None
 
 
+def _grid(scenario, book, scheduler: str, plan: FaultPlan,
+          n_scenarios: int = 48):
+    telemetry = Telemetry.recording()
+    timing = simulate_grid_run(
+        shard_scenarios(n_scenarios, 4, scheduler=scheduler),
+        book.options,
+        scenario.yield_curve(),
+        scenario.hazard_curve(),
+        scenario=scenario,
+        policy=scheduler,
+        telemetry=telemetry,
+        faults=plan,
+    )
+    return timing, telemetry
+
+
+def _assert_grid_invariants(timing, telemetry, n_scenarios: int) -> None:
+    assert isinstance(timing, FaultedClusterTiming)
+    assert timing.n_scenarios == n_scenarios
+    assert (
+        sum(c.n_scenarios for c in timing.cards) + timing.n_failed_scenarios
+        == n_scenarios
+    )
+    assert timing.wasted_seconds >= 0.0
+    windows = defaultdict(list)
+    for span in telemetry.spans:
+        windows[span.track].append((span.start_s, span.end_s))
+    for card in timing.cards:
+        assert 0.0 <= card.utilisation <= 1.0
+        busy = sorted(windows[f"card{card.card_id}"])
+        for (_, end), (start, _) in zip(busy, busy[1:]):
+            assert start >= end  # no overlapping busy windows
+        assert sum(e - s for s, e in busy) == pytest.approx(card.seconds)
+
+
 class TestGridConservation:
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
     @pytest.mark.parametrize("spec", GRID_PLANS)
     def test_scenarios_all_accounted(
         self, scenario, book, scheduler, spec
     ):
-        n_scenarios = 48
-        assignment = shard_scenarios(n_scenarios, 4, scheduler=scheduler)
-        timing = simulate_grid_run(
-            assignment,
-            book.options,
-            scenario.yield_curve(),
-            scenario.hazard_curve(),
-            scenario=scenario,
-            policy=scheduler,
-            faults=FaultPlan.from_spec(spec, seed=7),
+        plan = FaultPlan.from_spec(spec, seed=7)
+        timing, telemetry = _grid(scenario, book, scheduler, plan)
+        _assert_grid_invariants(timing, telemetry, 48)
+
+    @given(
+        events=st.lists(grid_event, min_size=1, max_size=4),
+        scheduler=st.sampled_from(SCHEDULERS),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_plans_conserve(self, scenario, book, events, scheduler):
+        timing, telemetry = _grid(
+            scenario, book, scheduler, FaultPlan(events=tuple(events))
         )
-        assert isinstance(timing, FaultedClusterTiming)
-        assert timing.n_scenarios == n_scenarios
-        assert timing.n_failed_scenarios >= 0
-        # Conservation: what was not failed completed (the roll-up's
-        # makespan only covers completed work).
-        assert timing.n_failed_scenarios <= n_scenarios
-        assert timing.wasted_seconds >= 0.0
+        _assert_grid_invariants(timing, telemetry, 48)
 
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
     def test_zero_fault_identity(self, scenario, book, scheduler):

@@ -17,7 +17,20 @@ class TestPublicAPI:
             assert hasattr(repro, name), name
 
     def test_version(self):
-        assert repro.__version__ == "1.10.0"
+        assert repro.__version__ == "2.0.0"
+
+    def test_removed_pricing_shims_are_gone(self):
+        """The 1.5-era entry points were removed in 2.0.0."""
+        import repro.core as core
+        from repro.core import vector_pricing
+
+        assert not hasattr(repro, "price_portfolio")
+        assert not hasattr(core, "price_portfolio")
+        assert not hasattr(vector_pricing, "price_packed")
+        assert not hasattr(vector_pricing, "price_portfolio")
+        assert not hasattr(vector_pricing.VectorCDSPricer, "price_portfolio")
+        with pytest.raises(ModuleNotFoundError):
+            __import__("repro.deprecation")
 
     def test_risk_exports_resolve(self):
         import repro.risk as risk
