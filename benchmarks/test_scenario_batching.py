@@ -12,6 +12,11 @@ and >= 5x faster, and — with ``REPRO_WRITE_BENCH=1`` — persists the
 numbers to ``BENCH_risk.json`` at the repository root, the first entry of
 the repo's benchmark trajectory (uploaded as a CI artifact by the
 workflow's non-blocking benchmark job).
+
+It also records ``grid_timing``: the wall-clock of timing the grid
+walk's representative card batch with the discrete-event simulation
+(``ClusterNode.price``) and with the value-free replay
+(``ClusterNode.time``).  Only the cycle equality is asserted.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import write_bench
+from repro.cluster.node import ClusterNode
 from repro.risk import ScenarioRiskEngine, make_book, monte_carlo
 from repro.workloads.scenarios import PaperScenario
 
@@ -31,7 +37,7 @@ N_POSITIONS = 100
 SPEEDUP_FLOOR = 5.0
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_risk.json"
 #: Bump when the BENCH_risk.json payload shape changes.
-BENCH_SCHEMA_VERSION = 1
+BENCH_SCHEMA_VERSION = 2
 
 
 def _wall(fn) -> float:
@@ -82,15 +88,32 @@ def measured(grid):
     return looped, batched, looped_s, batched_s
 
 
+@pytest.fixture(scope="module")
+def grid_timing(grid):
+    """The representative card batch, simulated and replayed.
+
+    First requested after ``measured`` (tests run in file order), so the
+    looped/batched timing runs exactly as it would without it.
+    """
+    engine, _ = grid
+    node = ClusterNode(0, engine.scenario, n_engines=engine.n_engines)
+    args = (engine.portfolio.options, engine.yield_curve, engine.hazard_curve)
+    des_s, replay_s = _best_of_interleaved(
+        lambda: node.price(*args), lambda: node.time(*args), rounds=5
+    )
+    return node.price(*args), node.time(*args), des_s, replay_s
+
+
 def test_batched_grid_is_bit_identical(measured):
     looped, batched, _, _ = measured
     np.testing.assert_array_equal(batched.pv, looped.pv)
     np.testing.assert_array_equal(batched.pnl, looped.pnl)
 
 
-def test_batched_grid_speedup_and_trajectory(measured):
+def test_batched_grid_speedup_and_trajectory(measured, grid_timing):
     """>= 5x on the 1000 x 100 grid, recorded to BENCH_risk.json."""
     _, _, looped_s, batched_s = measured
+    _, _, des_s, replay_s = grid_timing
     speedup = looped_s / batched_s
     payload = {
         "schema_version": BENCH_SCHEMA_VERSION,
@@ -105,12 +128,17 @@ def test_batched_grid_speedup_and_trajectory(measured):
             N_SCENARIOS * N_POSITIONS / batched_s, 1
         ),
         "chunk_size": "auto",
+        "grid_timing": {
+            "des_seconds": round(des_s, 6),
+            "replay_seconds": round(replay_s, 6),
+        },
     }
     written = write_bench(BENCH_PATH, payload)
     print("\nScenario-grid revaluation (1000 scenarios x 100 contracts):")
     print(f"  looped : {looped_s:.3f}s ({N_SCENARIOS / looped_s:,.0f} scen/s)")
     print(f"  batched: {batched_s:.3f}s ({N_SCENARIOS / batched_s:,.0f} scen/s)")
     print(f"  speedup: {speedup:.1f}x  ->  {written}")
+    print(f"  grid timing: DES {des_s:.3f}s, replay {replay_s:.3f}s")
     assert speedup >= SPEEDUP_FLOOR
 
 
@@ -123,3 +151,10 @@ def test_chunked_runs_match_auto(grid):
             shocks, with_timing=False, batch=True, chunk_size=chunk
         )
         np.testing.assert_array_equal(chunked.pv, auto.pv)
+
+
+def test_grid_timing_replay_matches_des(grid_timing):
+    priced, timed, _, _ = grid_timing
+    assert timed.kernel_cycles == priced.kernel_cycles
+    assert timed.pcie_seconds == priced.pcie_seconds
+    assert timed.commands == sum(s.commands for s in priced.sim_results)

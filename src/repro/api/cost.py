@@ -88,12 +88,18 @@ class DispatchCostModel:
     ) -> "DispatchCostModel":
         """Derive the model from one representative card batch.
 
-        One :class:`~repro.cluster.node.ClusterNode` discrete-event run
-        over the book gives the kernel cycles of a full-book repricing;
+        :meth:`ClusterNode.time <repro.cluster.node.ClusterNode.time>`
+        over the book gives the kernel cycles of a full-book repricing
+        (a value-free replay of the card's dataflow networks, cycle-
+        identical to the discrete-event run; no spread is computed);
         subtracting the scenario's invocation overhead and dividing by
         the book size yields the per-cell fabric cost.  The PCIe terms
         come straight from the scenario's
-        :class:`~repro.fpga.pcie.PCIeModel` payload sizes.
+        :class:`~repro.fpga.pcie.PCIeModel` payload sizes.  Because
+        nothing is priced here, the dataflow ``combine`` stage's annuity
+        check does not run; the serving layer's
+        :class:`~repro.risk.engine.ScenarioRiskEngine` checked the book's
+        annuities when it priced its base state.
 
         Parameters
         ----------
@@ -107,9 +113,9 @@ class DispatchCostModel:
             CDS engines per card.
         """
         node = ClusterNode(0, scenario, n_engines=n_engines)
-        result = node.price(list(options), yield_curve, hazard_curve)
+        timing = node.time(list(options), yield_curve, hazard_curve)
         compute_cycles = max(
-            result.kernel_cycles - scenario.invocation_overhead_cycles, 0.0
+            timing.kernel_cycles - scenario.invocation_overhead_cycles, 0.0
         )
         bandwidth = scenario.pcie.bandwidth_bytes_per_sec
         return cls(

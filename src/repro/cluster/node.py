@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.types import CDSOption
-from repro.engines.base import EngineResult
+from repro.engines.base import EngineResult, EngineTiming
 from repro.engines.multi_engine import MultiEngineSystem
 from repro.errors import ValidationError
 from repro.workloads.scenarios import PaperScenario
@@ -93,6 +93,21 @@ class ClusterNode:
                 f"card {self.card_id}: cannot price an empty chunk"
             )
         return self.system.run(options, yield_curve, hazard_curve)
+
+    def time(
+        self,
+        options: list[CDSOption],
+        yield_curve: YieldCurve,
+        hazard_curve: HazardCurve,
+    ) -> EngineTiming:
+        """The cycle and PCIe accounting :meth:`price` reports for a
+        chunk, without pricing it (see
+        :meth:`~repro.engines.multi_engine.MultiEngineSystem.time`)."""
+        if not options:
+            raise ValidationError(
+                f"card {self.card_id}: cannot time an empty chunk"
+            )
+        return self.system.time(options, yield_curve, hazard_curve)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ClusterNode(card_id={self.card_id}, n_engines={self.n_engines})"

@@ -12,8 +12,12 @@ paper's optimisations manipulate:
   / :class:`~repro.dataflow.process.Delay` commands;
 * **the scheduler** (:mod:`~repro.dataflow.engine`) — a deterministic
   Kahn-process-network simulator with per-process cycle clocks; token
-  timestamps propagate via ``max`` constraints so results are independent of
-  scheduling order;
+  timestamps propagate via ``max`` constraints, and a write is admitted on
+  FIFO room in execution order, so cycle counts can depend on the order
+  processes are registered (token values never do);
+* **the timing replay** (:mod:`~repro.dataflow.replay`) — the same
+  scheduling rules over precomputed, value-free process programs, which
+  times a network cycle-identically without computing its values;
 * **pipelined-loop helpers** (:mod:`~repro.dataflow.pipeline`) — initiation
   interval (II) and latency modelling for ``#pragma HLS PIPELINE`` loops;
 * **dataflow regions** (:mod:`~repro.dataflow.region`) — ``#pragma HLS
@@ -34,6 +38,7 @@ results stay numerically checkable.
 from repro.dataflow.stream import Stream, StreamStats
 from repro.dataflow.process import Delay, Process, ProcessState, Read, Write
 from repro.dataflow.engine import SimulationResult, Simulator
+from repro.dataflow.replay import ReplayResult, replay
 from repro.dataflow.pipeline import LoopTiming, pipelined_loop_cycles
 from repro.dataflow.region import DataflowRegion, RegionTiming
 from repro.dataflow.graph import DataflowGraph
@@ -55,6 +60,8 @@ __all__ = [
     "Delay",
     "Simulator",
     "SimulationResult",
+    "ReplayResult",
+    "replay",
     "LoopTiming",
     "pipelined_loop_cycles",
     "DataflowRegion",

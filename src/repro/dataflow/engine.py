@@ -9,14 +9,26 @@ constraints are:
 
 * a read of token *k* from a stream cannot complete before the token's ready
   timestamp (producer issue time + pipeline latency);
-* a write to a full stream cannot complete before the consumer pops a token
+* a write to a full stream waits until the consumer pops a token
   (back-pressure).
 
-Both constraints are ``max`` operations over timestamps, making the network a
-timed Kahn process network: the simulated cycle counts are **deterministic
-and independent of scheduler ordering**.  The scheduler therefore uses a
-simple ready queue rather than a global time wheel, which keeps the hot loop
-small.
+The scheduler runs a simple ready queue rather than a global time wheel,
+which keeps the hot loop small, and the simulated cycle counts are
+**deterministic**: the same network registered in the same order always
+gives the same numbers.  They are *not* independent of scheduling order.
+A write is admitted when its FIFO has room at the moment the write
+*executes*; it is never compared against the simulated time of the pop
+that freed the slot.  So a process that runs late in execution order but
+early in simulated time can write into a slot that is, in simulated time,
+not yet free, and registering the same processes in another order can
+change a finish time (``tests/dataflow/test_replay.py`` has a
+three-process reproduction in ``TestBackPressureOrder``).  Only a writer
+that actually blocked is held to the time of the pop that woke it.
+
+:mod:`repro.dataflow.replay` reproduces these rules exactly without
+carrying values; the risk grid and the cost-model calibration time with
+it, and this generator simulator stays the value-carrying engine and the
+oracle.
 
 Deadlock (all processes blocked, none runnable, not all finished) raises
 :class:`~repro.errors.DeadlockError` with a diagnostic listing every blocked

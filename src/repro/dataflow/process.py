@@ -22,9 +22,11 @@ A doubling stage with II=1 and 3-cycle latency::
             yield Delay(1)
 
 The scheduler (:mod:`repro.dataflow.engine`) advances each process's local
-cycle clock; all cross-process constraints are ``max`` of timestamps, so the
-simulation is deterministic regardless of scheduling order (Kahn process
-network semantics).
+cycle clock.  Token *values* follow Kahn process network semantics and do
+not depend on scheduling order; the simulation is deterministic, but its
+cycle counts can depend on the order processes are registered, because a
+write is admitted on FIFO room in execution order (see
+:mod:`repro.dataflow.engine`).
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ Variants, in the order Table I introduces them:
 =====================================  =========================================
 """
 
-from repro.engines.base import CDSEngineBase, EngineResult
+from repro.engines.base import CDSEngineBase, EngineResult, EngineTiming
 from repro.engines.xilinx_baseline import XilinxBaselineEngine
 from repro.engines.dataflow_engine import OptimisedDataflowEngine
 from repro.engines.interoption import InterOptionDataflowEngine
@@ -38,6 +38,7 @@ from repro.engines.multi_engine import MultiEngineSystem
 __all__ = [
     "CDSEngineBase",
     "EngineResult",
+    "EngineTiming",
     "XilinxBaselineEngine",
     "OptimisedDataflowEngine",
     "InterOptionDataflowEngine",

@@ -11,11 +11,12 @@ from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.schedule import PaymentSchedule, build_schedule
 from repro.core.types import CDSOption
 from repro.dataflow.engine import SimulationResult
+from repro.dataflow.replay import ReplayResult
 from repro.errors import ValidationError
 from repro.hls.resources import ResourceUsage
 from repro.workloads.scenarios import PaperScenario
 
-__all__ = ["EngineResult", "CDSEngineBase", "EngineWorkload"]
+__all__ = ["EngineResult", "EngineTiming", "CDSEngineBase", "EngineWorkload"]
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,29 @@ class EngineResult:
             f"({len(self.spreads_bps)} options, {self.kernel_cycles:,.0f} cycles, "
             f"{self.n_engines} engine(s), {self.invocations} invocation(s))"
         )
+
+
+@dataclass(frozen=True)
+class EngineTiming:
+    """Cycle and PCIe accounting of one batch, without its spreads.
+
+    Attributes
+    ----------
+    kernel_cycles / pcie_seconds:
+        As in :class:`EngineResult` for the same batch.
+    replays:
+        Raw timing replay per engine chunk.  Excluded from equality
+        comparisons.
+    """
+
+    kernel_cycles: float
+    pcie_seconds: float
+    replays: tuple[ReplayResult, ...] = field(compare=False)
+
+    @property
+    def commands(self) -> int:
+        """Dataflow commands replayed: the DES's count for the batch."""
+        return sum(r.commands for r in self.replays)
 
 
 class CDSEngineBase(abc.ABC):

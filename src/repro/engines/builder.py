@@ -5,7 +5,9 @@
 — the programmatic form of paper Fig. 2 (and, with ``replication > 1``, of
 Fig. 3's round-robin clusters).  The same builder serves the per-option
 restart engine (one option index) and the free-running engines (all
-indices).
+indices).  :func:`compile_dataflow_network` emits the same network as
+value-free programs for :func:`~repro.dataflow.replay.replay`, which
+times it without computing a spread.
 
 :func:`engine_resources` estimates the fabric cost of one engine instance.
 Per-stage operator sums follow the HLS op table; the per-engine
@@ -20,16 +22,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.dataflow.engine import Simulator
 from repro.dataflow.stream import Stream
 from repro.engines.base import EngineWorkload
-from repro.engines.stages import StageModels, port_contention_factor
+from repro.engines.stages import (
+    GRID_LATENCY,
+    StageModels,
+    port_contention_factor,
+    replica_points,
+)
 from repro.errors import ValidationError
 from repro.hls.ops import op
 from repro.hls.resources import ResourceUsage
 from repro.workloads.scenarios import PaperScenario
 
-__all__ = ["build_dataflow_network", "engine_resources", "NetworkHandles"]
+__all__ = [
+    "build_dataflow_network",
+    "compile_dataflow_network",
+    "engine_resources",
+    "NetworkHandles",
+]
 
 
 @dataclass
@@ -270,6 +284,151 @@ def build_dataflow_network(
         reads=(results,),
     )
     return NetworkHandles(results_sink=sink, result_stream=results)
+
+
+def compile_dataflow_network(
+    wl: EngineWorkload,
+    indices: list[int],
+    models: StageModels,
+    *,
+    stream_depth: int = 4,
+    replication: int = 1,
+    uram_ports: int = 2,
+) -> tuple[dict[str, list], dict[str, int]]:
+    """The network :func:`build_dataflow_network` builds, as programs.
+
+    Takes the same arguments (minus the simulator) and returns
+    ``(programs, depths)`` for :func:`~repro.dataflow.replay.replay`: one
+    op list per process, in the builder's registration order, and every
+    stream's depth.  Each program issues the reads, writes and delays its
+    stage kernel would, with the same latencies and the per-point cycles
+    of the :class:`StageModels` delay model, but carries no values.
+    """
+    if replication < 1:
+        raise ValidationError(f"replication must be >= 1, got {replication}")
+    d = stream_depth
+    n_opts = len(indices)
+    depths: dict[str, int] = {}
+
+    def stream(name: str, depth: int = d) -> int:
+        depths[name] = depth
+        return len(depths) - 1
+
+    tg_hz = stream("tg->hazard")
+    tg_in = stream("tg->interp")
+    tg_par = stream("tg->combine.params", max(2, n_opts))
+    hz_dp = stream("hazard->defprob")
+    dp_tee = stream("defprob->teeS")
+    in_dc = stream("interp->discount")
+    dc_tee = stream("discount->teeD")
+    s_pay = stream("teeS->payment")
+    s_poff = stream("teeS->payoff")
+    s_acc = stream("teeS->accrual")
+    d_pay = stream("teeD->payment")
+    d_poff = stream("teeD->payoff")
+    d_acc = stream("teeD->accrual")
+    leg_pay = stream("payment->accum")
+    leg_poff = stream("payoff->accum")
+    leg_acc = stream("accrual->accum")
+    c_pay = stream("accum.payment->combine", 2)
+    c_poff = stream("accum.payoff->combine", 2)
+    c_acc = stream("accum.accrual->combine", 2)
+    results = stream("combine->drain", max(2, n_opts))
+
+    counts = [len(wl.schedules[oi]) for oi in indices]
+    total = sum(counts)
+    tick = 1.0  # the kernels' one-cycle step (combine's is two cycles)
+    programs: dict[str, list] = {}
+
+    ops: list = []
+    point = [(tg_hz, GRID_LATENCY), (tg_in, GRID_LATENCY), tick]
+    for n in counts:
+        ops.append((tg_par, GRID_LATENCY))
+        ops += point * n
+    programs["timegrid"] = ops
+
+    def unit(cycles_of, curve, inp, out, latency, stride=1, offset=0, factor=1.0):
+        """A hazard or interpolation unit: read, per-point delay, write."""
+        shares = list(replica_points(wl, indices, stride, offset))
+        mine = np.concatenate(shares) if shares else np.empty(0)
+        cycles = cycles_of(curve, mine, factor)
+        ops = [inp, 0.0, (out, latency)] * len(cycles)
+        ops[1::3] = cycles
+        return ops
+
+    def cyclic(ops: list, n: int) -> list:
+        """``ops`` dealt round-robin over ``n`` points."""
+        return (ops * (n // len(ops) + 1))[:n]
+
+    hc, yc = wl.hazard_curve, wl.yield_curve
+    arith = models.interpolator.arithmetic_latency
+    if replication == 1:
+        programs["hazard_acc"] = unit(
+            models.hazard_cycles, hc, tg_hz, hz_dp, models.add_latency
+        )
+        programs["interp"] = unit(models.interp_cycles, yc, tg_in, in_dc, arith)
+    else:
+        factor = port_contention_factor(replication, uram_ports)
+        for path, replica, src, dst, cycles_of, curve, latency in (
+            ("hazard", "hazard_acc", tg_hz, hz_dp, models.hazard_cycles, hc,
+             models.add_latency),
+            ("interp", "interp", tg_in, in_dc, models.interp_cycles, yc, arith),
+        ):
+            ins = [stream(f"rr->{path}[{k}]") for k in range(replication)]
+            outs = [stream(f"{path}[{k}]->rr") for k in range(replication)]
+            ops = [src, None, tick] * total
+            ops[1::3] = cyclic([(k, 0.0) for k in ins], total)
+            programs[f"{path}_rr_sched"] = ops
+            for k in range(replication):
+                programs[f"{replica}[{k}]"] = unit(
+                    cycles_of, curve, ins[k], outs[k], latency,
+                    replication, k, factor,
+                )
+            ops = [None, (dst, 0.0), tick] * total
+            ops[0::3] = cyclic(outs, total)
+            programs[f"{path}_rr_collect"] = ops
+
+    programs["defprob"] = [
+        hz_dp, (dp_tee, models.exp_latency + models.add_latency), tick
+    ] * total
+    programs["discount"] = [
+        in_dc, (dc_tee, models.mul_latency + models.exp_latency), tick
+    ] * total
+    programs["tee_S"] = [
+        dp_tee, (s_pay, 0.0), (s_poff, 0.0), (s_acc, 0.0), tick
+    ] * total
+    programs["tee_D"] = [
+        dc_tee, (d_pay, 0.0), (d_poff, 0.0), (d_acc, 0.0), tick
+    ] * total
+    programs["payment"] = [
+        s_pay, d_pay, (leg_pay, 2 * models.mul_latency), tick
+    ] * total
+    programs["payoff"] = [s_poff, d_poff, (leg_poff, models.mul_latency), tick] * total
+    programs["accrual"] = [
+        s_acc, d_acc, (leg_acc, 2 * models.mul_latency), tick
+    ] * total
+    ii = models.accumulator.ii
+    for leg, inp, out in (
+        ("payment", leg_pay, c_pay),
+        ("payoff", leg_poff, c_poff),
+        ("accrual", leg_acc, c_acc),
+    ):
+        ops = []
+        for n in counts:
+            ops += [inp, ii] * n
+            ops.append(models.leg_tail_cycles(n))
+            ops.append((out, models.add_latency))
+        programs[f"accum_{leg}"] = ops
+    programs["combine"] = [
+        tg_par,
+        c_pay,
+        c_poff,
+        c_acc,
+        (results, models.div_latency + models.mul_latency),
+        2.0,
+    ] * n_opts
+    programs["drain"] = [results, tick] * n_opts
+    return programs, depths
 
 
 # ======================================================================

@@ -25,11 +25,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.curves import HazardCurve, YieldCurve
+from repro.core.types import CDSOption
 from repro.cpu.engine import chunk_options
 from repro.dataflow.engine import SimulationResult
-from repro.engines.base import CDSEngineBase, EngineWorkload
-from repro.engines.builder import engine_resources
+from repro.dataflow.replay import replay
+from repro.engines.base import CDSEngineBase, EngineTiming, EngineWorkload
+from repro.engines.builder import compile_dataflow_network, engine_resources
 from repro.engines.interoption import run_streaming
+from repro.engines.stages import StageModels
 from repro.engines.xilinx_baseline import _sink_to_array
 from repro.errors import ValidationError
 from repro.fpga.floorplan import Floorplan
@@ -75,13 +79,9 @@ class MultiEngineSystem(CDSEngineBase):
         self, workload: EngineWorkload
     ) -> tuple[np.ndarray, float, int, list[SimulationResult]]:
         n = workload.n_options
-        indices = list(range(n))
-        index_chunks = chunk_options(indices, self._n_engines)
-
         merged: dict[int, float] = {}
         sims: list[SimulationResult] = []
-        worst = 0.0
-        for ei, chunk in enumerate(index_chunks):
+        for ei, chunk in enumerate(chunk_options(list(range(n)), self._n_engines)):
             sink, res = run_streaming(
                 self.scenario,
                 workload,
@@ -91,13 +91,61 @@ class MultiEngineSystem(CDSEngineBase):
             )
             merged.update(sink)
             sims.append(res)
-            worst = max(worst, res.makespan_cycles)
-
-        active = len(index_chunks)
-        contention = 1.0 + self.scenario.multi_engine_contention * (active - 1)
-        cycles = worst * contention + self.scenario.invocation_overhead_cycles
+        cycles = self._kernel_cycles([res.makespan_cycles for res in sims])
         spreads = _sink_to_array(merged, n, self.name)
-        return spreads, cycles, active, sims
+        return spreads, cycles, len(sims), sims
+
+    def _kernel_cycles(self, makespans: list[float]) -> float:
+        """Batch cycles: the slowest chunk stretched by shell contention,
+        plus one invocation overhead."""
+        worst = 0.0
+        for makespan in makespans:
+            worst = max(worst, makespan)
+        contention = 1.0 + self.scenario.multi_engine_contention * (
+            len(makespans) - 1
+        )
+        return worst * contention + self.scenario.invocation_overhead_cycles
+
+    def time(
+        self,
+        options: list[CDSOption],
+        yield_curve: YieldCurve,
+        hazard_curve: HazardCurve,
+    ) -> EngineTiming:
+        """The ``kernel_cycles`` and ``pcie_seconds`` :meth:`run` reports
+        for this batch, without pricing it.
+
+        Each engine's chunk network is compiled to value-free programs
+        and timed by :func:`~repro.dataflow.replay.replay`, which matches
+        the discrete-event run cycle for cycle; no spread is computed, so
+        the ``combine`` stage's annuity check does not run.
+        """
+        sc = self.scenario
+        workload = EngineWorkload.build(options, yield_curve, hazard_curve)
+        models = StageModels.for_scenario(sc, interleaved=True)
+        replays = tuple(
+            replay(
+                *compile_dataflow_network(
+                    workload,
+                    chunk,
+                    models,
+                    stream_depth=sc.stream_depth,
+                    replication=sc.replication_factor,
+                    uram_ports=sc.effective_uram_ports,
+                ),
+                name=f"engine[{ei}]",
+            )
+            for ei, chunk in enumerate(
+                chunk_options(list(range(workload.n_options)), self._n_engines)
+            )
+        )
+        return EngineTiming(
+            kernel_cycles=self._kernel_cycles(
+                [r.makespan_cycles for r in replays]
+            ),
+            pcie_seconds=sc.pcie_seconds(workload.n_options),
+            replays=replays,
+        )
 
     def resources(self) -> ResourceUsage:
         """One engine instance (the base class scales by ``n_engines``)."""

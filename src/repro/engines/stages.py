@@ -34,7 +34,7 @@ from repro.hls.interpolation import InterpolatorModel
 from repro.hls.ops import op
 from repro.workloads.scenarios import PaperScenario
 
-__all__ = ["StageModels", "port_contention_factor"]
+__all__ = ["StageModels", "port_contention_factor", "replica_points"]
 
 #: Latency of the time-grid address arithmetic.
 GRID_LATENCY = 4.0
@@ -46,11 +46,18 @@ _TICK = Delay(1)
 _COMBINE_TICK = Delay(2)
 
 
-def _my_points(times, counter: int, stride: int, offset: int):
-    """This replica's share of one option's points under the cyclic
-    scheduler of Fig. 3, whose counter runs on across options: the points
-    ``i`` with ``(counter + i) % stride == offset``."""
-    return times[(offset - counter) % stride :: stride]
+def replica_points(wl: EngineWorkload, indices: list[int], stride: int, offset: int):
+    """Yield, per option, the time points one replica receives.
+
+    Fig. 3's cyclic scheduler deals points to ``stride`` replicas with a
+    counter that runs on across options, so replica ``offset`` gets the
+    points ``i`` of each option with ``(counter + i) % stride == offset``.
+    """
+    counter = 0
+    for oi in indices:
+        times = wl.schedules[oi].times
+        yield times[(offset - counter) % stride :: stride]
+        counter += len(times)
 
 
 def port_contention_factor(replicas: int, ports: int) -> float:
@@ -115,6 +122,46 @@ class StageModels:
         )
 
     # ==================================================================
+    # Delay model: the per-point cycles the generator kernels and
+    # repro.engines.builder.compile_dataflow_network both charge.  Each
+    # depends on token shapes only (table positions, point counts).
+    # ==================================================================
+    def hazard_cycles(self, hc, times, port_factor: float = 1.0) -> list[float]:
+        """Per-point cycles of a hazard accumulator over ``times``.
+
+        The accumulation model over the hazard-table entries at or before
+        each point, stretched by ``port_factor`` when replicas share URAM
+        ports.
+        """
+        lengths = hc.accumulation_length(times).tolist()
+        cycles = {
+            n: self.accumulator.cycles(n) * port_factor for n in set(lengths)
+        }
+        return [cycles[n] for n in lengths]
+
+    def interp_cycles(self, yc, times, port_factor: float = 1.0) -> list[float]:
+        """Per-point cycles of an interpolator over ``times``.
+
+        The table scan (see
+        :class:`~repro.hls.interpolation.InterpolatorModel`) minus the
+        arithmetic latency, which the output write carries, stretched by
+        ``port_factor``.
+        """
+        interpolator = self.interpolator
+        arith = interpolator.arithmetic_latency
+        located = yc.locate(times).tolist()
+        cycles = {
+            i: (interpolator.evaluation_cycles(i) - arith) * port_factor
+            for i in set(located)
+        }
+        return [cycles[i] for i in located]
+
+    def leg_tail_cycles(self, n: int) -> float:
+        """Reduction tail of a leg accumulator after ``n`` values."""
+        acc = self.accumulator
+        return max(0.0, acc.cycles(n) - n * acc.ii)
+
+    # ==================================================================
     # Stage kernels
     # ==================================================================
     def timegrid(
@@ -171,21 +218,14 @@ class StageModels:
         """
         hc = wl.hazard_curve
         read = Read(inp)
-        steps: dict[int, Delay] = {}  # per accumulation length
-        counter = 0  # global across options: the cyclic scheduler of Fig. 3
-        for oi in indices:
-            times = wl.schedules[oi].times
-            mine = _my_points(times, counter, stride, offset)
-            counter += len(times)
+        steps: dict[float, Delay] = {}  # per cycle count
+        for mine in replica_points(wl, indices, stride, offset):
             lams = hc.integrated(mine).tolist()
-            lengths = hc.accumulation_length(mine).tolist()
-            for lam, n_entries in zip(lams, lengths):
+            for lam, cycles in zip(lams, self.hazard_cycles(hc, mine, port_factor)):
                 _t, dt = yield read
-                step = steps.get(n_entries)
+                step = steps.get(cycles)
                 if step is None:
-                    step = steps[n_entries] = Delay(
-                        self.accumulator.cycles(n_entries) * port_factor
-                    )
+                    step = steps[cycles] = Delay(cycles)
                 yield step
                 yield Write(out, (lam, dt), delay=self.add_latency)
 
@@ -239,23 +279,16 @@ class StageModels:
         per-point calls).
         """
         yc = wl.yield_curve
-        interpolator = self.interpolator
-        arith = interpolator.arithmetic_latency
+        arith = self.interpolator.arithmetic_latency
         read = Read(inp)
-        steps: dict[int, Delay] = {}  # per located table index
-        counter = 0  # global across options: the cyclic scheduler of Fig. 3
-        for oi in indices:
-            times = wl.schedules[oi].times
-            mine = _my_points(times, counter, stride, offset)
-            counter += len(times)
+        steps: dict[float, Delay] = {}  # per cycle count
+        for mine in replica_points(wl, indices, stride, offset):
             rates = yc.interpolate(mine).tolist()
-            located = yc.locate(mine).tolist()
-            for r, index in zip(rates, located):
+            for r, cycles in zip(rates, self.interp_cycles(yc, mine, port_factor)):
                 t = yield read
-                step = steps.get(index)
+                step = steps.get(cycles)
                 if step is None:
-                    scan = interpolator.evaluation_cycles(index)
-                    step = steps[index] = Delay((scan - arith) * port_factor)
+                    step = steps[cycles] = Delay(cycles)
                 yield step
                 yield Write(out, (t, r), delay=arith)
 
@@ -376,8 +409,7 @@ class StageModels:
                 v = yield read
                 total += v
                 yield step
-            tail = max(0.0, acc.cycles(n) - n * acc.ii)
-            yield Delay(tail)
+            yield Delay(self.leg_tail_cycles(n))
             yield Write(out, total, delay=self.add_latency)
 
     def combine(

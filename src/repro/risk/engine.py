@@ -457,7 +457,14 @@ class ScenarioRiskEngine:
         scenario set of the same size (the simulation depends only on
         the grid shape and cluster configuration, and the schedulers are
         deterministic).  Lets callers time the host-side numerics
-        separately from the discrete-event simulation.
+        separately from the simulation.
+
+        The per-scenario batch cost comes from
+        :meth:`ClusterNode.time <repro.cluster.node.ClusterNode.time>`:
+        a value-free replay of one card's dataflow networks over the
+        book, cycle-identical to the discrete-event run but computing no
+        spread.  The book's annuities were already checked when this
+        engine priced its base state.
 
         Parameters
         ----------

@@ -12,10 +12,11 @@ and batching queue compose cleanly:
 * the scenario indices are partitioned by any
   :class:`~repro.cluster.scheduler.ClusterScheduler` (uniform costs make
   all policies near-equivalent, but the interface stays pluggable);
-* one representative card batch is simulated with the card's own
-  discrete-event :class:`~repro.cluster.node.ClusterNode` to get the
-  per-scenario kernel and PCIe seconds — identical scenarios never need
-  re-simulation;
+* one representative card batch is timed with the card's own
+  :meth:`ClusterNode.time <repro.cluster.node.ClusterNode.time>` — a
+  value-free replay of its dataflow networks, cycle-identical to the
+  discrete-event run — to get the per-scenario kernel and PCIe seconds;
+  identical scenarios never need re-timing;
 * each card's scenario chunk is coalesced into host dispatches by a
   :class:`~repro.cluster.batching.BatchQueue`, and PCIe time is stretched
   by the :class:`~repro.cluster.interconnect.HostLinkModel` contention
@@ -310,9 +311,9 @@ def simulate_grid_run(
 
     # One representative batch on card 0; all scenarios share its cost.
     node = ClusterNode(0, scenario, n_engines=n_engines)
-    result = node.price(options, yield_curve, hazard_curve)
-    kernel = scenario.clock.seconds(result.kernel_cycles)
-    batch_seconds = kernel + result.pcie_seconds * factor
+    timing = node.time(options, yield_curve, hazard_curve)
+    kernel = scenario.clock.seconds(timing.kernel_cycles)
+    batch_seconds = kernel + timing.pcie_seconds * factor
 
     # Unified-clock replay: one sim Resource per card, outages registered
     # as downtime so reservation starts are pushed past them.
