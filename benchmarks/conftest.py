@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
+from repro.serving.coalescer import MicroBatchCoalescer
 from repro.workloads.scenarios import PaperScenario
 
 
@@ -49,3 +51,28 @@ def write_bench(path: Path, payload: dict) -> str:
         return f"{path.name} not written (set REPRO_WRITE_BENCH=1)"
     path.write_text(json.dumps(payload, indent=2) + "\n")
     return path.name
+
+
+@contextmanager
+def lane_housekeeping(n_arrivals: int):
+    """Count the coalescer's ``reap`` and ``advance`` calls in the block.
+
+    The methods are wrapped from here, outside the program, so the
+    serving hot path carries no counters.  Yields a dict that is filled
+    on exit with ``reap_calls_per_arrival`` and
+    ``advance_calls_per_arrival`` over ``n_arrivals`` offered requests.
+    """
+    calls = {"reap": 0, "advance": 0}
+    ledger: dict[str, float] = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            method = getattr(MicroBatchCoalescer, name)
+
+            def counted(self, *args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            mp.setattr(MicroBatchCoalescer, name, counted)
+        yield ledger
+    for name, n in calls.items():
+        ledger[f"{name}_calls_per_arrival"] = round(n / n_arrivals, 4)

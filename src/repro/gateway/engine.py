@@ -17,9 +17,11 @@ stages inside its arrival event:
 4. **dispatch** — the owning replica's :class:`~repro.serving.engine.
    Lane` — the same lane :meth:`~repro.serving.engine.QuoteServer.serve`
    drives — admits the request (backpressure, degradation ladder) and
-   offers it to its coalescer.  Every arrival ticks every lane (linger
-   timers, in-flight drain, deadline reaping), and every lane's timing
-   rig shares the gateway's clock.
+   offers it to its coalescer.  Every arrival ticks every lane, and a
+   tick does work only where something is due by then — a linger timer
+   expired, an in-flight completion passed, a pending deadline passed —
+   so it costs O(1) per idle lane.  Every lane's timing rig shares the
+   gateway's clock.
 
 With one server, one unlimited tenant and the cache off, the gateway
 adds no behaviour: its lane result is pinned **equal** to
@@ -320,7 +322,14 @@ class Gateway:
         def resolve_outcomes() -> None:
             """Sweep new lane outcomes into cache entries and waiters."""
             for lane, cursor in zip(lanes, seen):
-                responses = lane.responses
+                responses, fails = lane.responses, lane.fails
+                n_sheds = lane.coalescer.n_sheds
+                if (
+                    cursor[0] == len(responses)
+                    and cursor[1] == n_sheds
+                    and cursor[2] == len(fails)
+                ):
+                    continue
                 while cursor[0] < len(responses):
                     resp = responses[cursor[0]]
                     cursor[0] += 1
@@ -341,10 +350,7 @@ class Gateway:
                                 max(waiter.arrival_s, entry.formed_s),
                             )
                         entry.waiters.clear()
-                sheds = lane.coalescer.sheds
-                while cursor[1] < len(sheds):
-                    rec = sheds[cursor[1]]
-                    cursor[1] += 1
+                for rec in lane.coalescer.iter_sheds(cursor[1]):
                     entry = cache.abandon(rec.request.request_id)
                     if entry is not None:
                         # Single-flight ties a joiner's fate to its
@@ -354,7 +360,7 @@ class Gateway:
                                 ShedRecord(waiter, rec.time_s, rec.reason)
                             )
                         entry.waiters.clear()
-                fails = lane.fails
+                cursor[1] = n_sheds
                 while cursor[2] < len(fails):
                     rec = fails[cursor[2]]
                     cursor[2] += 1

@@ -24,6 +24,8 @@ population; the coalescer itself never rejects an offered request.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.cluster.batching import BatchQueue
@@ -89,6 +91,9 @@ class MicroBatchCoalescer:
         self._sheds: list[ShedRecord] = []
         self._next_batch_id = 0
         self._last_offer_s = 0.0
+        # Earliest deadline over ``_pending`` (inf when empty), kept at
+        # every mutation so :meth:`reap` can skip the scan.
+        self._watermark = math.inf
 
     @property
     def n_pending(self) -> int:
@@ -96,9 +101,42 @@ class MicroBatchCoalescer:
         return len(self._pending)
 
     @property
+    def next_linger_s(self) -> float:
+        """When the oldest pending request's linger timer fires (inf if none).
+
+        :meth:`advance` forms nothing before this instant.
+        """
+        if not self._pending:
+            return math.inf
+        return self._pending[0].arrival_s + self.queue.linger_s
+
+    @property
+    def next_expiry_s(self) -> float:
+        """The earliest pending deadline (inf if none).
+
+        :meth:`reap` sheds nothing before this instant.
+        """
+        return self._watermark
+
+    @property
     def sheds(self) -> tuple[ShedRecord, ...]:
-        """Deadline sheds recorded so far, in shed order."""
+        """Deadline sheds recorded so far, in shed order (a copy)."""
         return tuple(self._sheds)
+
+    @property
+    def n_sheds(self) -> int:
+        """How many deadline sheds have been recorded."""
+        return len(self._sheds)
+
+    def iter_sheds(self, start: int = 0) -> Iterator[ShedRecord]:
+        """Deadline sheds from index ``start`` on, without copying the log."""
+        sheds = self._sheds
+        for i in range(start, len(sheds)):
+            yield sheds[i]
+
+    def _set_pending(self, pending: list[PricingRequest]) -> None:
+        self._pending = pending
+        self._watermark = min((r.deadline_s for r in pending), default=math.inf)
 
     # ------------------------------------------------------------------
     def _form(self, t: float) -> MicroBatch | None:
@@ -123,7 +161,7 @@ class MicroBatchCoalescer:
         taken = alive[: self.queue.max_batch]
         leftover = alive[self.queue.max_batch :]
         leftover.sort(key=lambda r: (r.arrival_s, r.request_id))
-        self._pending = leftover + rest
+        self._set_pending(leftover + rest)
         if not taken:
             return None
         batch = MicroBatch(
@@ -163,8 +201,13 @@ class MicroBatchCoalescer:
         still join forms at or after ``now`` and would shed them at
         formation — so reaping early changes no outcome, but it stops
         dead work from counting toward the server's admission bound.
-        Returns how many requests were shed.
+        Before :attr:`next_expiry_s` nothing can have expired and the
+        call returns 0 without scanning; from then on it sheds in
+        pending order, each record stamped ``now``.  Returns how many
+        requests were shed.
         """
+        if now < self._watermark:
+            return 0
         alive = []
         reaped = 0
         for r in self._pending:
@@ -173,7 +216,7 @@ class MicroBatchCoalescer:
                 reaped += 1
             else:
                 alive.append(r)
-        self._pending = alive
+        self._set_pending(alive)
         return reaped
 
     def offer(self, request: PricingRequest) -> list[MicroBatch]:
@@ -195,8 +238,14 @@ class MicroBatchCoalescer:
                 f"{request.arrival_s} after {self._last_offer_s}"
             )
         self._last_offer_s = request.arrival_s
-        batches = self.advance(request.arrival_s)
+        batches = (
+            self.advance(request.arrival_s)
+            if self.next_linger_s <= request.arrival_s
+            else []
+        )
         self._pending.append(request)
+        if request.deadline_s < self._watermark:
+            self._watermark = request.deadline_s
         if len(self._pending) >= self.queue.max_batch:
             batch = self._form(request.arrival_s)
             if batch is not None:

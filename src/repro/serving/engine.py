@@ -356,11 +356,12 @@ class QuoteServer:
         """Replay a request trace through the server on the unified clock.
 
         Each request arrival is an event on one :class:`~repro.sim.
-        Simulation`; its handler runs one :class:`Lane` step — fire due
-        linger timers, drain the in-flight window, reap expired pending
-        work, apply the admission bound, offer the arrival to the
-        coalescer.  Dispatched batches reserve busy windows on the timing
-        rig's host and card resources (see
+        Simulation`; its handler runs one :class:`Lane` step — fire
+        linger timers, drain the in-flight window and reap expired
+        pending work, each only when something is due (see
+        :meth:`Lane.tick`), then apply the admission bound and offer the
+        arrival to the coalescer.  Dispatched batches reserve busy
+        windows on the timing rig's host and card resources (see
         :class:`~repro.serving.dispatch.Dispatcher`).
 
         Parameters
@@ -520,18 +521,26 @@ class Lane:
             self._batch_rows.inc(len(batch.rows))
 
     def tick(self, now: float) -> None:
-        """Per-arrival housekeeping at instant ``now``.
+        """Per-arrival housekeeping at instant ``now``; O(1) unless due.
 
-        Fires due linger timers, then drains the in-flight window —
-        *after* the linger sweep, since batches it dispatched may already
-        have completed, and counting them as in-flight would shed
-        requests from an idle server — then reaps expired pending
-        requests, which can never be priced, so dead work does not trip
-        the admission bound.
+        Each step runs only when something is due by ``now``: linger
+        timers fire once the oldest pending request's timer has expired
+        (:attr:`~repro.serving.coalescer.MicroBatchCoalescer.
+        next_linger_s`); the in-flight window drains once its earliest
+        completion has passed — *after* the linger sweep, since batches
+        it dispatched may already have completed, and counting them as
+        in-flight would shed requests from an idle server; and expired
+        pending requests, which can never be priced, are reaped once the
+        earliest pending deadline has passed, so dead work does not trip
+        the admission bound.  A skipped step would have changed nothing.
         """
-        self._run(self.coalescer.advance(now))
-        self.in_flight.drain(now)
-        self.coalescer.reap(now)
+        coalescer = self.coalescer
+        if coalescer.next_linger_s <= now:
+            self._run(coalescer.advance(now))
+        if self.in_flight.next_s <= now:
+            self.in_flight.drain(now)
+        if coalescer.next_expiry_s <= now:
+            coalescer.reap(now)
 
     def admit(self, req: PricingRequest, now: float) -> bool:
         """Admission control; sheds ``req`` and returns ``False`` on refusal.
@@ -593,7 +602,7 @@ class Lane:
         """
         recorder = self._recorder
         if recorder.enabled:
-            for rec in self.coalescer.sheds:
+            for rec in self.coalescer.iter_sheds():
                 recorder.record(
                     "shed", rec.time_s, rec.time_s, track="server",
                     category="request", trace_id=rec.request.request_id,
@@ -605,7 +614,7 @@ class Lane:
             return self._empty_result()
         trace, responses, metrics = self.trace, self.responses, self.metrics
         sheds = sorted(
-            self.queue_sheds + list(self.coalescer.sheds),
+            [*self.queue_sheds, *self.coalescer.iter_sheds()],
             key=lambda s: s.time_s,
         )
         fails = sorted(self.fails, key=lambda f: f.time_s)
